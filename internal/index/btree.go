@@ -4,15 +4,27 @@
 // Readers traverse without taking latches, validating per-node version
 // counters and restarting on conflict, so lookups and scans never block —
 // the property (together with MVCC) that makes pausing a preempted
-// transaction safe in PreemptDB. Writers latch at most two nodes at a time.
+// transaction safe in PreemptDB. Writers latch one leaf or, on the split path,
+// a parent and at most two of its children.
 //
 // Because database latches have no deadlock detection (paper §4.4), every
-// structure-modifying operation that holds more than one latch runs inside a
-// non-preemptible region: if a context were preempted while holding a node
-// latch, the high-priority transaction running on the *same core* could block
-// on that latch forever — a self-deadlock that cannot be resolved by waiting.
-// Traversals additionally poll the context at every node visit, giving the
-// sub-microsecond preemption granularity the engine relies on.
+// section that holds a latch runs inside a non-preemptible region: if a
+// context were preempted while holding a node latch, the high-priority
+// transaction running on the *same core* could block on that latch forever —
+// a self-deadlock that cannot be resolved by waiting. Traversals additionally
+// poll the context at every node visit, giving the sub-microsecond preemption
+// granularity the engine relies on.
+//
+// Memory model. A node's mutable state is two atomic words: its version and a
+// pointer to an immutable view. Writers never edit a view; under the latch
+// they publish a modified copy. A view orders the live slots of the node's
+// entry storage, and a slot is written once, under the latch, before the
+// first view that names it is published. So everything an optimistic reader
+// touches is an atomic load or memory that cannot change once it is
+// reachable, and a reader always holds a consistent picture of one node at
+// one instant. What version validation still protects is the relation
+// *between* nodes: that the child a reader moved to was still the one
+// covering its key when the child's version was sampled.
 package index
 
 import (
@@ -22,81 +34,61 @@ import (
 	"preemptdb/internal/pcontext"
 )
 
-const (
-	// maxKeys is the node fanout. 64 keeps nodes around a few cache lines of
-	// key headers while bounding restart work.
-	maxKeys = 64
-	minKeys = maxKeys / 2
-)
+// maxKeys is the node fanout. 64 keeps nodes around a few cache lines of key
+// headers while bounding restart work.
+const maxKeys = 64
 
-// version-word layout: bit0 = locked, bit1 = obsolete, bits 2.. = counter.
+// version-word layout: bit0 = locked, bits 1.. = counter.
 const (
-	lockedBit   = 1 << 0
-	obsoleteBit = 1 << 1
-	versionInc  = 1 << 2
+	lockedBit  = 1 << 0
+	versionInc = 1 << 1
 )
 
 type node[V any] struct {
 	version atomic.Uint64
-	numKeys int
-	keys    [maxKeys][]byte
-	// Exactly one of the following is used depending on leaf.
-	children [maxKeys + 1]*node[V] // inner: child i covers keys < keys[i]
-	values   [maxKeys]V           // leaf
-	next     *node[V]             // leaf: right sibling (guarded by version)
-	leaf     bool
+	view    atomic.Pointer[view[V]] // replaced, never edited, under the latch
+	leaf    bool                    // fixed at creation
 }
 
-// readLock samples the version for optimistic validation; ok is false when
-// the node is locked or obsolete and the caller must restart.
-func (n *node[V]) readLock() (uint64, bool) {
-	v := n.version.Load()
-	if v&(lockedBit|obsoleteBit) != 0 {
-		return 0, false
+// slots is a node's entry storage, in arrival order. Slot i is written once,
+// by a latch holder, before any view naming it is published, and is immutable
+// from then on; an entry that is deleted or replaced leaves a dead slot
+// behind. Exactly one of values and children is used, depending on leaf.
+type slots[V any] struct {
+	keys     [maxKeys][]byte
+	values   [maxKeys]V
+	children [maxKeys]*node[V] // inner: the child right of keys[i], covering keys >= keys[i]
+}
+
+// view is one immutable state of a node: the live slots in ascending key
+// order. Copying a view to change the node costs a hundred bytes, not the
+// node's arrays; copying those on every insert tripled the cost of an insert
+// and, through the collector, of loading a table.
+type view[V any] struct {
+	slots *slots[V]
+	link  *node[V]       // leaf: right sibling; inner: leftmost child, covering keys < key(0)
+	n     int            // live entries
+	used  int            // slots written so far, live or dead
+	order [maxKeys]uint8 // order[:n]: the live slots by key
+}
+
+func (v *view[V]) key(i int) []byte { return v.slots.keys[v.order[i]] }
+func (v *view[V]) value(i int) V    { return v.slots.values[v.order[i]] }
+
+// child returns child i of an inner node: it covers key(i-1) <= k < key(i).
+func (v *view[V]) child(i int) *node[V] {
+	if i == 0 {
+		return v.link
 	}
-	return v, true
-}
-
-// readUnlock validates that the node did not change since readLock.
-func (n *node[V]) readUnlock(v uint64) bool { return n.version.Load() == v }
-
-// upgradeLock atomically converts a read "lock" into a write latch.
-func (n *node[V]) upgradeLock(v uint64) bool {
-	return n.version.CompareAndSwap(v, v|lockedBit)
-}
-
-// writeLock acquires the latch, spinning; fails only on obsolete nodes.
-func (n *node[V]) writeLock() bool {
-	for {
-		v := n.version.Load()
-		if v&obsoleteBit != 0 {
-			return false
-		}
-		if v&lockedBit != 0 {
-			continue // spin: latches are held for nanoseconds
-		}
-		if n.version.CompareAndSwap(v, v|lockedBit) {
-			return true
-		}
-	}
-}
-
-// writeUnlock releases the latch and bumps the version counter.
-func (n *node[V]) writeUnlock() {
-	n.version.Add(versionInc - lockedBit)
-}
-
-// markObsolete flags a node replaced by an SMO and releases its latch.
-func (n *node[V]) markObsolete() {
-	n.version.Add(versionInc + obsoleteBit - lockedBit)
+	return v.slots.children[v.order[i-1]]
 }
 
 // search returns the index of the first key >= k, and whether it equals k.
-func (n *node[V]) search(k []byte) (int, bool) {
-	lo, hi := 0, n.numKeys
+func (v *view[V]) search(k []byte) (int, bool) {
+	lo, hi := 0, v.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch bytes.Compare(n.keys[mid], k) {
+		switch bytes.Compare(v.key(mid), k) {
 		case -1:
 			lo = mid + 1
 		case 0:
@@ -108,14 +100,91 @@ func (n *node[V]) search(k []byte) (int, bool) {
 	return lo, false
 }
 
-// childIndex returns which child pointer to follow for key k in an inner
-// node: child i holds keys k with keys[i-1] <= k < keys[i].
-func (n *node[V]) childIndex(k []byte) int {
-	idx, eq := n.search(k)
-	if eq {
-		return idx + 1
+// compact returns a view of entries [lo, hi) of v on storage of its own, with
+// no dead slots. link is left for the caller to set.
+func (v *view[V]) compact(lo, hi int) *view[V] {
+	s := &slots[V]{}
+	nv := &view[V]{slots: s, n: hi - lo, used: hi - lo}
+	for i := lo; i < hi; i++ {
+		from := v.order[i]
+		s.keys[i-lo], s.values[i-lo], s.children[i-lo] = v.slots.keys[from], v.slots.values[from], v.slots.children[from]
+		nv.order[i-lo] = uint8(i - lo)
 	}
-	return idx
+	return nv
+}
+
+func (v *view[V]) clone() *view[V] {
+	nv := *v
+	return &nv
+}
+
+// with returns a copy of v with one more entry at position i of the order.
+// v must have fewer than maxKeys live entries and be, or derive from, its
+// node's current view, and the caller must hold the node's latch: the entry
+// goes to the next free slot of v's own storage — or, when dead entries have
+// used the storage up, to a compacted copy of it.
+func (v *view[V]) with(i int, key []byte, value V, child *node[V]) *view[V] {
+	var nv *view[V]
+	if v.used < maxKeys {
+		nv = v.clone()
+	} else {
+		nv = v.compact(0, v.n)
+		nv.link = v.link
+	}
+	s := nv.used
+	nv.slots.keys[s], nv.slots.values[s], nv.slots.children[s] = key, value, child
+	copy(nv.order[i+1:], nv.order[i:nv.n])
+	nv.order[i] = uint8(s)
+	nv.n++
+	nv.used++
+	return nv
+}
+
+// without returns a copy of v with entry i dropped from the order; its slot
+// stays behind, dead, until the storage is next compacted.
+func (v *view[V]) without(i int) *view[V] {
+	nv := v.clone()
+	copy(nv.order[i:], nv.order[i+1:nv.n])
+	nv.n--
+	return nv
+}
+
+// readLock samples the version for optimistic validation; ok is false when
+// the node is latched and the caller must restart.
+func (n *node[V]) readLock() (uint64, bool) {
+	v := n.version.Load()
+	return v, v&lockedBit == 0
+}
+
+// readUnlock validates that the node did not change since readLock.
+func (n *node[V]) readUnlock(v uint64) bool { return n.version.Load() == v }
+
+// writeLock acquires the latch, spinning: latches are held for nanoseconds.
+func (n *node[V]) writeLock() {
+	for {
+		v := n.version.Load()
+		if v&lockedBit == 0 && n.version.CompareAndSwap(v, v|lockedBit) {
+			return
+		}
+	}
+}
+
+// writeUnlock releases the latch and bumps the version counter.
+func (n *node[V]) writeUnlock() { n.version.Add(versionInc - lockedBit) }
+
+// update is the tree's one latched leaf mutation: if n is still at version
+// ver, so that the view read at ver is still current, it latches n and
+// publishes edit() as the new view. Latching is a critical section — a context preempted between the latch and
+// its release would deadlock a same-core transaction that needs this leaf —
+// so it runs non-preemptibly (paper §4.4).
+func (n *node[V]) update(ctx *pcontext.Context, ver uint64, edit func() *view[V]) (ok bool) {
+	pcontext.NonPreemptible(ctx, func() {
+		if ok = n.version.CompareAndSwap(ver, ver|lockedBit); ok {
+			n.view.Store(edit())
+			n.writeUnlock()
+		}
+	})
+	return ok
 }
 
 // Tree is a concurrent B+tree from []byte keys to values of type V.
@@ -130,10 +199,16 @@ type Tree[V any] struct {
 	partitionRestarts atomic.Uint64
 }
 
+func newNode[V any](leaf bool, v *view[V]) *node[V] {
+	n := &node[V]{leaf: leaf}
+	n.view.Store(v)
+	return n
+}
+
 // New returns an empty tree.
 func New[V any]() *Tree[V] {
 	t := &Tree[V]{}
-	t.root.Store(&node[V]{leaf: true})
+	t.root.Store(newNode(true, &view[V]{slots: &slots[V]{}}))
 	return t
 }
 
@@ -148,286 +223,84 @@ func (t *Tree[V]) Restarts() uint64 { return t.restarts.Load() }
 // taken by Partition, surfaced separately from Restarts for observability.
 func (t *Tree[V]) PartitionRestarts() uint64 { return t.partitionRestarts.Load() }
 
+// descend is the tree's one optimistic root-to-leaf traversal. It returns the
+// leaf covering key (nil = leftmost) or, with below set, the leaf holding the
+// keys immediately below key (nil = +∞, the rightmost leaf): at each inner
+// node that is the child left of the first separator >= key. v is the leaf's
+// view at version ver, and the leaf was the right one for key at that
+// version; conflicts restart from the root inside descend, each counted in
+// Restarts. fence, tracked only with below set, is the rightmost separator
+// passed on the way down, an exclusive upper bound for every key left of this
+// leaf; nil means child 0 was taken at every level and nothing exists left of
+// it (a separator is never the empty key: it had a smaller key beside it in
+// the node it split).
+//
+// Every node visit polls ctx (ctx may be nil), so the descent is preemptible
+// between any two nodes; every hop to a child is also a stall mark, the
+// dereference of a fresh node the paper's hardware would miss the cache on.
+func (t *Tree[V]) descend(ctx *pcontext.Context, key []byte, below bool) (n *node[V], v *view[V], ver uint64, fence []byte) {
+	for ; ; t.restarts.Add(1) {
+		// The root pointer is re-checked after sampling the version: root
+		// growth latches the old root before replacing the pointer, so a
+		// version sampled unlatched while the pointer is still current is
+		// invalidated by any later split of that node.
+		n = t.root.Load()
+		var ok bool
+		if ver, ok = n.readLock(); !ok || t.root.Load() != n {
+			continue
+		}
+		fence = nil
+		for ok {
+			ctx.Poll()
+			v = n.view.Load()
+			if n.leaf {
+				if n.readUnlock(ver) {
+					return n, v, ver, fence
+				}
+				break
+			}
+			idx := 0 // nil key, covering: the leftmost child
+			if key != nil {
+				var eq bool
+				if idx, eq = v.search(key); eq && !below {
+					idx++ // child i covers key(i-1) <= k < key(i)
+				}
+			} else if below {
+				idx = v.n
+			}
+			if below && idx > 0 {
+				fence = v.key(idx - 1)
+			}
+			ctx.YieldStall()
+			// v is immutable, so child is a live node whatever happened to n
+			// since; whether it is still the *right* node is what the coupled
+			// validation decides: n must be unchanged after the child's
+			// version is sampled, or a split in between could have moved key
+			// to a sibling this descent would never visit.
+			child := v.child(idx)
+			cver, cok := child.readLock()
+			ok = cok && n.readUnlock(ver)
+			n, ver = child, cver
+		}
+	}
+}
+
 // Get returns the value stored under key. ctx may be nil; when set, the
 // traversal polls it at every node, making lookups preemptible.
 func (t *Tree[V]) Get(ctx *pcontext.Context, key []byte) (V, bool) {
+	_, v, _, _ := t.descend(ctx, key, false)
+	if idx, eq := v.search(key); eq {
+		return v.value(idx), true
+	}
 	var zero V
-	for {
-		v, ok := t.get(ctx, key)
-		if ok {
-			return v, true
-		}
-		if !t.retryNeeded() {
-			return zero, false
-		}
-	}
+	return zero, false
 }
-
-// lockRoot samples the current root for optimistic descent. It re-checks the
-// root pointer after sampling the version: a concurrent root growth replaces
-// the pointer before bumping the old root's version, so a version sampled
-// while the pointer is still current is guaranteed to be invalidated by any
-// later split of that node.
-func (t *Tree[V]) lockRoot() (*node[V], uint64, bool) {
-	n := t.root.Load()
-	ver, ok := n.readLock()
-	if !ok || t.root.Load() != n {
-		return nil, 0, false
-	}
-	return n, ver, true
-}
-
-// get performs one optimistic attempt; on validation failure it records a
-// restart and returns ok=false with retryNeeded()==true.
-func (t *Tree[V]) get(ctx *pcontext.Context, key []byte) (V, bool) {
-	var zero V
-restart:
-	t.clearRetry()
-	n, ver, ok := t.lockRoot()
-	if !ok {
-		t.noteRestart()
-		goto restart
-	}
-	for !n.leaf {
-		ctx.Poll()
-		// Each level of the descent dereferences a fresh node — the memory
-		// access the paper's hardware would stall on. Mark it so a K-way core
-		// can rotate to a sibling context instead of (simulated) waiting.
-		ctx.YieldStall()
-		child := n.children[n.childIndex(key)]
-		if !n.readUnlock(ver) {
-			t.noteRestart()
-			goto restart
-		}
-		n = child
-		if ver, ok = n.readLock(); !ok {
-			t.noteRestart()
-			goto restart
-		}
-	}
-	ctx.Poll()
-	idx, eq := n.search(key)
-	var val V
-	if eq {
-		val = n.values[idx]
-	}
-	if !n.readUnlock(ver) {
-		t.noteRestart()
-		goto restart
-	}
-	if !eq {
-		return zero, false
-	}
-	return val, true
-}
-
-// retry bookkeeping: get/insert signal restart via a goroutine-local-ish
-// pattern; since Go lacks cheap TLS we simply loop inside the exported
-// methods and use sentinel returns. The two methods below keep the restart
-// counter honest without extra state.
-func (t *Tree[V]) retryNeeded() bool { return false }
-func (t *Tree[V]) clearRetry()       {}
-func (t *Tree[V]) noteRestart()      { t.restarts.Add(1) }
 
 // Insert stores value under key, replacing any existing value. It reports
 // whether the key was newly inserted (false = replaced). The key is copied.
 func (t *Tree[V]) Insert(ctx *pcontext.Context, key []byte, value V) bool {
-	for {
-		inserted, ok := t.insertOnce(ctx, key, value)
-		if ok {
-			if inserted {
-				t.size.Add(1)
-			}
-			return inserted
-		}
-		t.noteRestart()
-	}
-}
-
-// insertOnce attempts one optimistic descent with leaf latching; ok=false
-// requests a restart.
-func (t *Tree[V]) insertOnce(ctx *pcontext.Context, key []byte, value V) (inserted, ok bool) {
-	n, ver, rok := t.lockRoot()
-	if !rok {
-		return false, false
-	}
-	var parent *node[V]
-	var parentVer uint64
-	for !n.leaf {
-		ctx.Poll()
-		ctx.YieldStall()
-		if parent != nil && !parent.readUnlock(parentVer) {
-			return false, false
-		}
-		parent, parentVer = n, ver
-		n = n.children[n.childIndex(key)]
-		if ver, rok = n.readLock(); !rok {
-			return false, false
-		}
-		if !parent.readUnlock(parentVer) {
-			return false, false
-		}
-	}
-	ctx.Poll()
-	// Fast path: leaf has room (or key exists). Upgrade leaf latch only.
-	idx, eq := n.search(key)
-	if eq || n.numKeys < maxKeys {
-		// Latching is a critical section: once we hold it, a preemption of
-		// this context could deadlock a same-core transaction that needs
-		// this leaf, so the update runs non-preemptibly (paper §4.4).
-		var done, ins bool
-		pcontext.NonPreemptible(ctx, func() {
-			if !n.upgradeLock(ver) {
-				return
-			}
-			// Re-search under the latch: the optimistic read above is only a
-			// hint and the node may have changed between load and upgrade.
-			idx, eq = n.search(key)
-			if eq {
-				n.values[idx] = value
-			} else if n.numKeys < maxKeys {
-				copy(n.keys[idx+1:n.numKeys+1], n.keys[idx:n.numKeys])
-				copy(n.values[idx+1:n.numKeys+1], n.values[idx:n.numKeys])
-				n.keys[idx] = append([]byte(nil), key...)
-				n.values[idx] = value
-				n.numKeys++
-				ins = true
-			} else {
-				// Filled up between read and latch: fall back to split path.
-				n.writeUnlock()
-				return
-			}
-			n.writeUnlock()
-			done = true
-		})
-		if done {
-			return ins, true
-		}
-		return false, false
-	}
-	// Leaf is full: pessimistic descent with latch crabbing and preemptive
-	// splits so we never hold more than two latches.
-	return t.insertPessimistic(ctx, key, value)
-}
-
-// insertPessimistic descends from the root taking write latches, splitting
-// every full node on the way down (preemptive splits guarantee the parent
-// always has room for the separator). The whole descent is one
-// non-preemptible region because latches are held across it.
-func (t *Tree[V]) insertPessimistic(ctx *pcontext.Context, key []byte, value V) (inserted, ok bool) {
-	pcontext.NonPreemptible(ctx, func() {
-		root := t.root.Load()
-		if !root.writeLock() {
-			return
-		}
-		if t.root.Load() != root {
-			// Lost a race with a concurrent root growth; retry from the top.
-			root.writeUnlock()
-			return
-		}
-		// Grow the tree if the root itself is full. The new root is latched
-		// *before* it is published so no other writer can slip between the
-		// publication and the split.
-		if root.numKeys == maxKeys {
-			newRoot := &node[V]{}
-			newRoot.children[0] = root
-			newRoot.version.Store(lockedBit)
-			if !t.root.CompareAndSwap(root, newRoot) {
-				root.writeUnlock()
-				return
-			}
-			t.splitChild(newRoot, 0)
-			root.writeUnlock()
-			root = newRoot
-		}
-		n := root
-		for !n.leaf {
-			idx := n.childIndex(key)
-			child := n.children[idx]
-			if !child.writeLock() {
-				n.writeUnlock()
-				return
-			}
-			if child.numKeys == maxKeys {
-				t.splitChild(n, idx)
-				// The separator moved up; re-decide which half to enter.
-				idx = n.childIndex(key)
-				other := n.children[idx]
-				if other != child {
-					if !other.writeLock() {
-						child.writeUnlock()
-						n.writeUnlock()
-						return
-					}
-					child.writeUnlock()
-					child = other
-				}
-			}
-			n.writeUnlock()
-			n = child
-		}
-		idx, eq := n.search(key)
-		if eq {
-			n.values[idx] = value
-		} else {
-			copy(n.keys[idx+1:n.numKeys+1], n.keys[idx:n.numKeys])
-			copy(n.values[idx+1:n.numKeys+1], n.values[idx:n.numKeys])
-			n.keys[idx] = append([]byte(nil), key...)
-			n.values[idx] = value
-			n.numKeys++
-			inserted = true
-		}
-		n.writeUnlock()
-		ok = true
-	})
-	return inserted, ok
-}
-
-// splitChild splits parent.children[i] (latched by caller along with parent)
-// into two, hoisting the separator into parent. The child's latch state is
-// preserved; the new right sibling is created unlatched.
-func (t *Tree[V]) splitChild(parent *node[V], i int) {
-	child := parent.children[i]
-	mid := child.numKeys / 2
-	right := &node[V]{leaf: child.leaf}
-
-	var sep []byte
-	if child.leaf {
-		// Leaf split: right keeps keys[mid:], separator is right's first key.
-		copy(right.keys[:], child.keys[mid:child.numKeys])
-		copy(right.values[:], child.values[mid:child.numKeys])
-		right.numKeys = child.numKeys - mid
-		right.next = child.next
-		child.next = right
-		child.numKeys = mid
-		sep = right.keys[0]
-	} else {
-		// Inner split: separator keys[mid] moves up, right keeps keys[mid+1:].
-		sep = child.keys[mid]
-		copy(right.keys[:], child.keys[mid+1:child.numKeys])
-		copy(right.children[:], child.children[mid+1:child.numKeys+1])
-		right.numKeys = child.numKeys - mid - 1
-		child.numKeys = mid
-	}
-	// Clear abandoned slots so stale references do not pin memory.
-	for j := child.numKeys; j < maxKeys; j++ {
-		child.keys[j] = nil
-		if child.leaf {
-			var zero V
-			child.values[j] = zero
-		} else if j+1 <= maxKeys {
-			child.children[j+1] = nil
-		}
-	}
-
-	// Make room in the parent.
-	copy(parent.keys[i+1:parent.numKeys+1], parent.keys[i:parent.numKeys])
-	copy(parent.children[i+2:parent.numKeys+2], parent.children[i+1:parent.numKeys+1])
-	parent.keys[i] = sep
-	parent.children[i+1] = right
-	parent.numKeys++
-	// Bump the child's version so concurrent optimistic readers restart.
-	child.version.Add(versionInc)
+	_, inserted := t.put(ctx, key, value, true)
+	return inserted
 }
 
 // GetOrInsert returns the value stored under key, inserting value and
@@ -435,200 +308,149 @@ func (t *Tree[V]) splitChild(parent *node[V], i int) {
 // The operation is atomic with respect to concurrent GetOrInsert/Insert on
 // the same key: exactly one caller inserts.
 func (t *Tree[V]) GetOrInsert(ctx *pcontext.Context, key []byte, value V) (actual V, inserted bool) {
+	return t.put(ctx, key, value, false)
+}
+
+// put stores value under key. An existing key has its value replaced when
+// replace is set and is otherwise left untouched and returned.
+func (t *Tree[V]) put(ctx *pcontext.Context, key []byte, value V, replace bool) (actual V, inserted bool) {
+	var owned []byte // the tree's copy of key, made at most once
 	for {
-		if v, ok := t.Get(ctx, key); ok {
-			return v, false
+		n, v, ver, _ := t.descend(ctx, key, false)
+		idx, eq := v.search(key)
+		if eq && !replace {
+			return v.value(idx), false
 		}
-		ins, ok := t.insertAbsentOnce(ctx, key, value)
-		if ok {
-			if ins {
-				t.size.Add(1)
-				return value, true
-			}
-			// Someone else inserted between our Get and latch; loop to read it.
+		if !eq && v.n == maxKeys {
+			// No room: split, then find the leaf again. The split path never
+			// inserts, so this loop holds the only leaf-insert code.
+			t.split(ctx, key)
 			continue
 		}
-		t.noteRestart()
+		if eq {
+			owned = v.key(idx)
+		} else if owned == nil {
+			owned = append([]byte(nil), key...)
+		}
+		if n.update(ctx, ver, func() *view[V] {
+			if eq {
+				v = v.without(idx) // the new value needs a slot of its own
+			}
+			return v.with(idx, owned, value, nil)
+		}) {
+			if !eq {
+				t.size.Add(1)
+			}
+			return value, !eq
+		}
+		t.restarts.Add(1)
 	}
 }
 
-// insertAbsentOnce is insertOnce with if-absent semantics: an existing key is
-// left untouched and reported as not-inserted.
-func (t *Tree[V]) insertAbsentOnce(ctx *pcontext.Context, key []byte, value V) (inserted, ok bool) {
-	n, ver, rok := t.lockRoot()
-	if !rok {
-		return false, false
-	}
-	for !n.leaf {
-		ctx.Poll()
-		ctx.YieldStall()
-		child := n.children[n.childIndex(key)]
-		if !n.readUnlock(ver) {
-			return false, false
-		}
-		n = child
-		if ver, rok = n.readLock(); !rok {
-			return false, false
-		}
-	}
-	ctx.Poll()
-	idx, eq := n.search(key)
-	if eq {
-		// Validate the observation before trusting it.
-		if !n.readUnlock(ver) {
-			return false, false
-		}
-		return false, true
-	}
-	if n.numKeys < maxKeys {
-		var done, ins bool
-		pcontext.NonPreemptible(ctx, func() {
-			if !n.upgradeLock(ver) {
-				return
-			}
-			idx, eq = n.search(key)
-			switch {
-			case eq:
-				// Inserted concurrently; leave it.
-			case n.numKeys < maxKeys:
-				copy(n.keys[idx+1:n.numKeys+1], n.keys[idx:n.numKeys])
-				copy(n.values[idx+1:n.numKeys+1], n.values[idx:n.numKeys])
-				n.keys[idx] = append([]byte(nil), key...)
-				n.values[idx] = value
-				n.numKeys++
-				ins = true
-			default:
-				n.writeUnlock()
-				return
-			}
-			n.writeUnlock()
-			done = true
-		})
-		if done {
-			return ins, true
-		}
-		return false, false
-	}
-	// Full leaf: the pessimistic path re-checks existence under latches.
-	return t.insertAbsentPessimistic(ctx, key, value)
-}
-
-// insertAbsentPessimistic mirrors insertPessimistic with if-absent semantics.
-func (t *Tree[V]) insertAbsentPessimistic(ctx *pcontext.Context, key []byte, value V) (inserted, ok bool) {
+// split makes room for key: it descends from the root taking write latches
+// and splits every full node on the way down (preemptive splits guarantee the
+// parent always has room for the separator), holding at most a parent and two
+// of its children latched. The whole descent is one non-preemptible region
+// because latches are held across it. It is the tree's only structure
+// modification and knows nothing of the insert that asked for it; if other
+// writers made room first it changes nothing.
+func (t *Tree[V]) split(ctx *pcontext.Context, key []byte) {
 	pcontext.NonPreemptible(ctx, func() {
-		root := t.root.Load()
-		if !root.writeLock() {
+		n := t.root.Load()
+		n.writeLock()
+		if t.root.Load() != n {
+			// Lost a race with a concurrent root growth; the caller retries.
+			n.writeUnlock()
 			return
 		}
-		if t.root.Load() != root {
-			root.writeUnlock()
-			return
-		}
-		if root.numKeys == maxKeys {
-			newRoot := &node[V]{}
-			newRoot.children[0] = root
+		// Grow the tree if the root itself is full. The new root is latched
+		// *before* it is published so no other writer can slip between the
+		// publication and the split. Only the holder of the root's latch
+		// replaces the root pointer, so a plain store suffices.
+		if n.view.Load().n == maxKeys {
+			newRoot := newNode(false, &view[V]{slots: &slots[V]{}, link: n})
 			newRoot.version.Store(lockedBit)
-			if !t.root.CompareAndSwap(root, newRoot) {
-				root.writeUnlock()
-				return
-			}
-			t.splitChild(newRoot, 0)
-			root.writeUnlock()
-			root = newRoot
+			t.root.Store(newRoot)
+			splitChild(newRoot, 0)
+			n.writeUnlock()
+			n = newRoot
 		}
-		n := root
 		for !n.leaf {
-			idx := n.childIndex(key)
-			child := n.children[idx]
-			if !child.writeLock() {
-				n.writeUnlock()
-				return
+			v := n.view.Load()
+			idx, eq := v.search(key)
+			if eq {
+				idx++
 			}
-			if child.numKeys == maxKeys {
-				t.splitChild(n, idx)
-				idx = n.childIndex(key)
-				other := n.children[idx]
-				if other != child {
-					if !other.writeLock() {
-						child.writeUnlock()
-						n.writeUnlock()
-						return
-					}
+			child := v.child(idx)
+			child.writeLock()
+			if child.view.Load().n == maxKeys {
+				splitChild(n, idx)
+				// The separator moved up; enter the half that covers key.
+				if v = n.view.Load(); bytes.Compare(key, v.key(idx)) >= 0 {
+					right := v.child(idx + 1)
+					right.writeLock()
 					child.writeUnlock()
-					child = other
+					child = right
 				}
 			}
 			n.writeUnlock()
 			n = child
 		}
-		idx, eq := n.search(key)
-		if !eq {
-			copy(n.keys[idx+1:n.numKeys+1], n.keys[idx:n.numKeys])
-			copy(n.values[idx+1:n.numKeys+1], n.values[idx:n.numKeys])
-			n.keys[idx] = append([]byte(nil), key...)
-			n.values[idx] = value
-			n.numKeys++
-			inserted = true
-		}
 		n.writeUnlock()
-		ok = true
 	})
-	return inserted, ok
+}
+
+// splitChild splits child i of parent, which is full, in two, hoisting the
+// separator into parent. The caller holds both latches and releases them,
+// which is what makes optimistic readers of either node restart; the new
+// right sibling is created unlatched. The left half keeps the node's storage,
+// now all used up, so its next insert compacts it.
+func splitChild[V any](parent *node[V], i int) {
+	pv := parent.view.Load()
+	child := pv.child(i)
+	cv := child.view.Load()
+	mid := cv.n / 2
+	sep := cv.key(mid)
+	left := cv.clone()
+	left.n = mid
+	var right *view[V]
+	if child.leaf {
+		// Leaf split: right keeps entries [mid, n), separator is its first key.
+		right = cv.compact(mid, cv.n)
+		right.link = cv.link
+	} else {
+		// Inner split: the separator moves up, right keeps entries (mid, n)
+		// and, leftmost, the child that was right of the separator.
+		right = cv.compact(mid+1, cv.n)
+		right.link = cv.child(mid + 1)
+	}
+	rn := newNode(child.leaf, right)
+	if child.leaf {
+		left.link = rn
+	}
+	child.view.Store(left)
+	var zero V
+	parent.view.Store(pv.with(i, sep, zero, rn))
 }
 
 // Delete removes key, reporting whether it was present. Leaves are allowed
 // to underflow (no rebalancing): deletion marks are cheap and the MVCC layer
 // above already retires most data via version GC, so classic merge logic
-// buys little and costs latch complexity.
+// buys little and costs latch complexity. Nodes therefore never leave the
+// tree, which is what lets scans follow sibling links without validation.
 func (t *Tree[V]) Delete(ctx *pcontext.Context, key []byte) bool {
 	for {
-		deleted, ok := t.deleteOnce(ctx, key)
-		if ok {
-			if deleted {
-				t.size.Add(-1)
-			}
-			return deleted
+		n, v, ver, _ := t.descend(ctx, key, false)
+		idx, eq := v.search(key)
+		if !eq {
+			return false
 		}
-		t.noteRestart()
+		if n.update(ctx, ver, func() *view[V] { return v.without(idx) }) {
+			t.size.Add(-1)
+			return true
+		}
+		t.restarts.Add(1)
 	}
-}
-
-func (t *Tree[V]) deleteOnce(ctx *pcontext.Context, key []byte) (deleted, ok bool) {
-	n, ver, rok := t.lockRoot()
-	if !rok {
-		return false, false
-	}
-	for !n.leaf {
-		ctx.Poll()
-		ctx.YieldStall()
-		child := n.children[n.childIndex(key)]
-		if !n.readUnlock(ver) {
-			return false, false
-		}
-		n = child
-		if ver, rok = n.readLock(); !rok {
-			return false, false
-		}
-	}
-	var done bool
-	pcontext.NonPreemptible(ctx, func() {
-		if !n.upgradeLock(ver) {
-			return
-		}
-		idx, eq := n.search(key)
-		if eq {
-			copy(n.keys[idx:n.numKeys-1], n.keys[idx+1:n.numKeys])
-			copy(n.values[idx:n.numKeys-1], n.values[idx+1:n.numKeys])
-			n.numKeys--
-			n.keys[n.numKeys] = nil
-			var zero V
-			n.values[n.numKeys] = zero
-			deleted = true
-		}
-		n.writeUnlock()
-		done = true
-	})
-	return deleted, done
 }
 
 // ScanFunc receives each key/value in order; returning false stops the scan.
@@ -638,113 +460,46 @@ func (t *Tree[V]) deleteOnce(ctx *pcontext.Context, key []byte) (deleted, ok boo
 type ScanFunc[V any] func(key []byte, value V) bool
 
 // Scan visits all entries with from <= key < to in ascending order (nil `to`
-// means unbounded). The snapshot is per-leaf: each leaf's entries are copied
-// out under version validation, then emitted latch-free, so a scan observes
-// every key that existed for the whole scan and may or may not observe
-// concurrent insertions — the standard guarantee for latch-free range scans
-// under snapshot-isolated MVCC (version visibility is resolved above us).
+// means unbounded). The snapshot is per-leaf: each leaf contributes the one
+// immutable view it had when the scan reached it, so a scan observes every
+// key that existed for the whole scan and may or may not observe concurrent
+// insertions — the standard guarantee for latch-free range scans under
+// snapshot-isolated MVCC (version visibility is resolved above us).
+//
+// Only the first leaf needs the validated descent. After that the scan
+// follows sibling links with a single atomic load per leaf and cannot
+// conflict: a leaf's lower bound never changes (splits move the upper half to
+// a new right sibling, and no node is ever unlinked), so the sibling a view
+// names always begins where that view ended.
 func (t *Tree[V]) Scan(ctx *pcontext.Context, from, to []byte, fn ScanFunc[V]) {
-	var bufK [maxKeys][]byte
-	var bufV [maxKeys]V
-	start := from
+	_, v, _, _ := t.descend(ctx, from, false)
+	lo := 0
+	if from != nil {
+		lo, _ = v.search(from)
+	}
 	for {
-		leaf, ok := t.findLeaf(ctx, start)
-		if !ok {
-			t.noteRestart()
-			continue
-		}
-		n := leaf
-		restart := false
-		for n != nil {
-			ctx.Poll()
-			ctx.YieldStall() // leaf-to-leaf hop: a fresh cache line per leaf
-			if ctx.Err() != nil {
-				// Lifecycle canceled or past deadline: abandon the scan at
-				// the leaf boundary; the caller observes ctx.Err itself.
-				return
-			}
-			ver, rok := n.readLock()
-			if !rok {
-				restart = true
-				break
-			}
-			cnt, lo := 0, 0
-			if start != nil {
-				lo, _ = n.search(start)
-			}
-			hitTo := false
-			for i := lo; i < n.numKeys; i++ {
-				if to != nil && bytes.Compare(n.keys[i], to) >= 0 {
-					hitTo = true
-					break
-				}
-				bufK[cnt] = n.keys[i]
-				bufV[cnt] = n.values[i]
-				cnt++
-			}
-			next := n.next
-			if !n.readUnlock(ver) {
-				restart = true
-				break
-			}
-			// Emit latch-free: the callback may poll, yield or be preempted.
-			for i := 0; i < cnt; i++ {
-				if !fn(bufK[i], bufV[i]) {
-					return
-				}
-			}
-			if cnt > 0 {
-				// Exclusive resume point should a later leaf force a restart.
-				start = nextKeyAfter(bufK[cnt-1])
-			}
-			if hitTo || next == nil {
-				return
-			}
-			n = next
-		}
-		if !restart {
+		ctx.Poll()
+		ctx.YieldStall() // leaf-to-leaf hop: a fresh cache line per leaf
+		if ctx.Err() != nil {
+			// Lifecycle canceled or past deadline: abandon the scan at the
+			// leaf boundary; the caller observes ctx.Err itself.
 			return
 		}
-		t.noteRestart()
-	}
-}
-
-// nextKeyAfter returns the immediate successor of k in bytewise order
-// (k with a zero byte appended), used as an exclusive resume point.
-func nextKeyAfter(k []byte) []byte {
-	s := make([]byte, len(k)+1)
-	copy(s, k)
-	return s
-}
-
-// findLeaf descends optimistically to the leaf that would contain key
-// (nil key = leftmost leaf).
-func (t *Tree[V]) findLeaf(ctx *pcontext.Context, key []byte) (*node[V], bool) {
-	n, ver, ok := t.lockRoot()
-	if !ok {
-		return nil, false
-	}
-	for !n.leaf {
-		ctx.Poll()
-		ctx.YieldStall()
-		var child *node[V]
-		if key == nil {
-			child = n.children[0]
-		} else {
-			child = n.children[n.childIndex(key)]
+		hi := v.n
+		if to != nil {
+			hi, _ = v.search(to)
 		}
-		if !n.readUnlock(ver) {
-			return nil, false
+		// Emit latch-free: the callback may poll, yield or be preempted.
+		for i := lo; i < hi; i++ {
+			if !fn(v.key(i), v.value(i)) {
+				return
+			}
 		}
-		n = child
-		if ver, ok = n.readLock(); !ok {
-			return nil, false
+		if hi < v.n || v.link == nil {
+			return
 		}
+		v, lo = v.link.view.Load(), 0
 	}
-	if !n.readUnlock(ver) {
-		return nil, false
-	}
-	return n, true
 }
 
 // Min returns the smallest key and its value.
@@ -769,10 +524,8 @@ func (t *Tree[V]) Max(ctx *pcontext.Context) (key []byte, value V, ok bool) {
 // (nil bounds are open). Leaves are singly linked, so each leaf transition
 // costs one root-to-leaf descent; point "newest first" lookups (e.g. the
 // latest order for a customer) touch one or two leaves. Snapshot semantics
-// match Scan: per-leaf copies under version validation, emitted latch-free.
+// match Scan: one immutable view per leaf, emitted latch-free.
 func (t *Tree[V]) ScanDesc(ctx *pcontext.Context, from, to []byte, fn ScanFunc[V]) {
-	var bufK [maxKeys][]byte
-	var bufV [maxKeys]V
 	upper := to // exclusive moving bound; nil = +∞
 	for {
 		ctx.Poll()
@@ -780,97 +533,29 @@ func (t *Tree[V]) ScanDesc(ctx *pcontext.Context, from, to []byte, fn ScanFunc[V
 		if ctx.Err() != nil {
 			return // see Scan: unwind at the leaf boundary when canceled
 		}
-		leaf, fence, leftmost, ok := t.findLeafLess(ctx, upper)
-		if !ok {
-			t.noteRestart()
-			continue
-		}
-		ver, rok := leaf.readLock()
-		if !rok {
-			t.noteRestart()
-			continue
-		}
-		// Collect entries in [from, upper) from this leaf.
-		hi := leaf.numKeys
+		_, v, _, fence := t.descend(ctx, upper, true)
+		lo, hi := 0, v.n
 		if upper != nil {
-			hi, _ = leaf.search(upper)
+			hi, _ = v.search(upper)
 		}
-		cnt, hitFrom := 0, false
-		for i := hi - 1; i >= 0; i-- {
-			if from != nil && bytes.Compare(leaf.keys[i], from) < 0 {
-				hitFrom = true
-				break
-			}
-			bufK[cnt] = leaf.keys[i]
-			bufV[cnt] = leaf.values[i]
-			cnt++
+		if from != nil {
+			lo, _ = v.search(from)
 		}
-		if !leaf.readUnlock(ver) {
-			t.noteRestart()
-			continue
-		}
-		for i := 0; i < cnt; i++ {
-			if !fn(bufK[i], bufV[i]) {
+		for i := hi - 1; i >= lo; i-- {
+			if !fn(v.key(i), v.value(i)) {
 				return
 			}
 		}
-		if hitFrom {
+		if lo > 0 || fence == nil {
+			// A key below from sits in this leaf, or nothing lies left of it.
 			return
 		}
-		switch {
-		case cnt > 0:
-			// Continue strictly below the smallest key just emitted.
-			upper = append([]byte(nil), bufK[cnt-1]...)
-		case fence != nil:
-			// Leaf had nothing below the bound; continue left of the
-			// separator that guarded it.
-			upper = fence
-		default:
-			leftmost = true
-		}
-		if leftmost {
-			// The leftmost leaf's candidates are exhausted; nothing remains.
-			return
+		// Continue strictly below the smallest key just emitted or, when the
+		// leaf had nothing under the bound, left of the separator that
+		// guarded it. Both are the tree's own immutable keys.
+		upper = fence
+		if lo < hi {
+			upper = v.key(lo)
 		}
 	}
-}
-
-// findLeafLess descends to the leaf that may contain keys strictly below
-// upper (nil = +∞): at each inner node it takes the child left of the first
-// separator ≥ upper. fence is the rightmost separator passed on the way
-// down (an exclusive upper bound for everything left of this leaf) and
-// leftmost reports that the descent took child 0 at every level.
-func (t *Tree[V]) findLeafLess(ctx *pcontext.Context, upper []byte) (leaf *node[V], fence []byte, leftmost bool, ok bool) {
-	n, ver, rok := t.lockRoot()
-	if !rok {
-		return nil, nil, false, false
-	}
-	leftmost = true
-	for !n.leaf {
-		ctx.Poll()
-		ctx.YieldStall()
-		var idx int
-		if upper == nil {
-			idx = n.numKeys // rightmost child
-		} else {
-			// First separator >= upper bounds the keys < upper to child idx.
-			idx, _ = n.search(upper)
-		}
-		if idx > 0 {
-			leftmost = false
-			fence = n.keys[idx-1]
-		}
-		child := n.children[idx]
-		if !n.readUnlock(ver) {
-			return nil, nil, false, false
-		}
-		n = child
-		if ver, rok = n.readLock(); !rok {
-			return nil, nil, false, false
-		}
-	}
-	if !n.readUnlock(ver) {
-		return nil, nil, false, false
-	}
-	return n, fence, leftmost, true
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -199,31 +200,33 @@ func TestKeyIsCopied(t *testing.T) {
 	}
 }
 
+// Every point operation through one sequential specification: spec (in
+// history_test.go) says what an operation returns and leaves behind for one
+// key, apply runs it on the tree. The history checker uses the same pair.
 func TestQuickAgainstReferenceMap(t *testing.T) {
 	type op struct {
-		Insert bool
-		Key    uint16
-		Val    int32
+		Kind uint8
+		Key  uint16
+		Val  int32
 	}
 	err := quick.Check(func(ops []op) bool {
-		tr := New[int32]()
-		ref := map[uint16]int32{}
+		tr := New[int64]()
+		ref := map[uint16]int64{}
 		for _, o := range ops {
-			k := key(int(o.Key))
-			if o.Insert {
-				isNew := tr.Insert(nil, k, o.Val)
-				_, existed := ref[o.Key]
-				if isNew == existed {
-					return false
-				}
-				ref[o.Key] = o.Val
-			} else {
-				del := tr.Delete(nil, k)
-				_, existed := ref[o.Key]
-				if del != existed {
-					return false
-				}
+			state, present := ref[o.Key]
+			if !present {
+				state = absent
+			}
+			h := histOp{kind: opKind(o.Kind) % numOpKinds, key: int(o.Key), arg: int64(o.Val)}
+			h.apply(tr)
+			after, out, ok := spec(h.kind, state, h.arg)
+			if h.out != out || h.ok != ok {
+				return false
+			}
+			if after == absent {
 				delete(ref, o.Key)
+			} else {
+				ref[o.Key] = after
 			}
 		}
 		if tr.Len() != len(ref) {
@@ -239,7 +242,7 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 		var prev []byte
 		count := 0
 		good := true
-		tr.Scan(nil, nil, nil, func(k []byte, v int32) bool {
+		tr.Scan(nil, nil, nil, func(k []byte, v int64) bool {
 			if prev != nil && bytes.Compare(prev, k) >= 0 {
 				good = false
 				return false
@@ -249,7 +252,15 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 			return true
 		})
 		return good && count == len(ref)
-	}, &quick.Config{MaxCount: 300})
+	}, &quick.Config{MaxCount: 60, Values: func(args []reflect.Value, r *rand.Rand) {
+		// Enough operations on few enough keys to split leaves and to fill
+		// them with dead slots, which quick's default of <= 50 never does.
+		ops := make([]op, r.Intn(1500))
+		for i := range ops {
+			ops[i] = op{uint8(r.Intn(int(numOpKinds))), uint16(r.Intn(300)), r.Int31()}
+		}
+		args[0] = reflect.ValueOf(ops)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

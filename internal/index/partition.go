@@ -26,10 +26,9 @@ const partitionMaxFrontier = 64
 
 // Partition splits [from, to) into up to n balanced half-open ranges by
 // sampling separator keys from the upper B+tree levels, for fan-out to
-// parallel scan morsels. Each sampled node is copied under a briefly-held
-// per-node latch that is released before the next node — no latch is ever
-// held across node boundaries, polls, or the sample as a whole — and a node
-// that turned obsolete restarts the whole sample (counted in
+// parallel scan morsels. The sampler takes no latch: it reads each inner node
+// the way the descent does (sample the version, load the view, validate),
+// and a node caught latched or changing restarts the whole sample (counted in
 // PartitionRestarts). The returned ranges always form an exact contiguous
 // cover of [from, to); under churn or on small trees there may be fewer than
 // n of them, down to the single input range.
@@ -89,117 +88,45 @@ func compactKeys(keys [][]byte) [][]byte {
 	return out
 }
 
-// sampleSeparators performs one level-by-level descent collecting keys
-// strictly inside (from, to) from the upper levels, stopping as soon as it
-// has `want` candidates or the frontier grows past the sampling budget.
-// ok=false requests a restart (a sampled node turned obsolete, or the root
-// moved under us).
+// sampleSeparators performs one level-by-level walk of the inner levels,
+// collecting keys strictly inside (from, to) and stopping as soon as it has
+// `want` candidates, the frontier grows past the sampling budget, or the next
+// level down is the leaves: one separator per leaf is as fine as a morsel
+// needs to be. A false result requests a restart (a sampled node was latched
+// or changed while it was read, or the root moved under us).
 func (t *Tree[V]) sampleSeparators(ctx *pcontext.Context, from, to []byte, want int) ([][]byte, bool) {
+	var seps [][]byte
 	root := t.root.Load()
-	keys, children, leaf, ok := t.sampleNode(ctx, root, from, to, true)
-	if !ok {
-		return nil, false
-	}
-	if leaf {
-		// Single-leaf tree: at most maxKeys rows, not worth splitting.
-		return nil, true
-	}
-	seps := keys
-	frontier := children
-	for len(seps) < want && len(frontier) > 0 && len(frontier) <= partitionMaxFrontier {
+	frontier := []*node[V]{root}
+	for len(seps) < want && len(frontier) > 0 && len(frontier) <= partitionMaxFrontier && !frontier[0].leaf {
 		var next []*node[V]
-		atLeaves := false
 		for _, n := range frontier {
 			ctx.Poll()
-			keys, children, leaf, ok := t.sampleNode(ctx, n, from, to, false)
-			if !ok {
+			ver, ok := n.readLock()
+			v := n.view.Load()
+			if !ok || !n.readUnlock(ver) || t.root.Load() != root {
 				return nil, false
 			}
-			seps = append(seps, keys...)
-			if leaf {
-				atLeaves = true
-			} else {
-				next = append(next, children...)
+			// Keys strictly inside (from, to), and the children whose
+			// subtrees intersect [from, to).
+			lo, hi := 0, v.n
+			if from != nil {
+				var eq bool
+				if lo, eq = v.search(from); eq {
+					lo++
+				}
 			}
-		}
-		if atLeaves {
-			break
+			if to != nil {
+				hi, _ = v.search(to)
+			}
+			for i := lo; i <= hi; i++ { // empty when from >= to
+				if i < hi {
+					seps = append(seps, v.key(i))
+				}
+				next = append(next, v.child(i))
+			}
 		}
 		frontier = next
 	}
 	return seps, true
-}
-
-// sampleNode copies node n's keys inside (from, to) — and, for inner nodes,
-// the child pointers whose subtrees intersect [from, to) — under a briefly
-// held latch, released before returning. The latched section runs
-// non-preemptibly like every other latched section in this tree (a
-// preemption while latched could deadlock a same-core transaction). The key
-// slice headers reference the tree's immutable key allocations, so retaining
-// them after the latch drops is safe (the same argument Scan makes for its
-// emitted keys).
-func (t *Tree[V]) sampleNode(ctx *pcontext.Context, n *node[V], from, to []byte, isRoot bool) (keys [][]byte, children []*node[V], leaf bool, ok bool) {
-	pcontext.NonPreemptible(ctx, func() {
-		if !n.latchForRead() {
-			return // obsolete: restart the sample
-		}
-		if isRoot && t.root.Load() != n {
-			n.unlatchForRead()
-			return // root grew between load and latch
-		}
-		leaf = n.leaf
-		for i := 0; i < n.numKeys; i++ {
-			k := n.keys[i]
-			if from != nil && bytes.Compare(k, from) <= 0 {
-				continue
-			}
-			if to != nil && bytes.Compare(k, to) >= 0 {
-				break
-			}
-			keys = append(keys, k)
-		}
-		if !leaf {
-			lo := 0
-			if from != nil {
-				lo = n.childIndex(from)
-			}
-			hi := n.numKeys
-			if to != nil {
-				hi, _ = n.search(to)
-			}
-			for i := lo; i <= hi && i <= n.numKeys; i++ {
-				children = append(children, n.children[i])
-			}
-		}
-		n.unlatchForRead()
-		ok = true
-	})
-	return keys, children, leaf, ok
-}
-
-// latchForRead acquires n's latch for a pure read, spinning like writeLock
-// and failing only on obsolete nodes. Pair with unlatchForRead, which —
-// unlike writeUnlock — restores the version word unchanged: nothing was
-// modified, so concurrent optimistic readers must not be forced to restart
-// on account of a read-only sampler. Writers spin for the (nanoseconds-long)
-// hold; the latch is never held across node boundaries.
-func (n *node[V]) latchForRead() bool {
-	for {
-		v := n.version.Load()
-		if v&obsoleteBit != 0 {
-			return false
-		}
-		if v&lockedBit != 0 {
-			continue
-		}
-		if n.version.CompareAndSwap(v, v|lockedBit) {
-			return true
-		}
-	}
-}
-
-// unlatchForRead releases a latch taken by latchForRead without bumping the
-// version counter.
-func (n *node[V]) unlatchForRead() {
-	n.version.Add(^uint64(lockedBit) + 1)
 }
