@@ -20,14 +20,15 @@ import (
 //     Zipfian key distribution against the same server twice — hot-key cache
 //     off, then on. The cached run reports its hit rate (skewed workloads
 //     should exceed 80%) and both runs report wire round-trip latency; cache
-//     hits answer on the event-loop thread without entering a scheduler core.
+//     hits answer on the connection's goroutine without entering a scheduler
+//     core.
 //   - Phase B (admission A/B): a low-priority RMW flood shares the server
 //     with paced high-priority point reads, with the front-end's per-class
 //     in-flight limit off, then on. Admission sheds the flood at the edge
 //     with typed statusQueueFull frames (counted), and the high-priority
 //     tail must not regress when admission is enabled.
 //
-// Both phases exercise the sharded event loop and zero-copy framing; the
+// Both phases cross the server's connection path and zero-copy framing; the
 // figures are closed-loop and CPU-sensitive, so results carry NumCPU.
 
 // FrontendCachePoint is one cache on/off data point of Phase A.
@@ -51,7 +52,6 @@ type FrontendFloodPoint struct {
 // FrontendResult is the frontend experiment's JSON document
 // (BENCH_frontend.json).
 type FrontendResult struct {
-	ConnShards  int                  `json:"conn_shards"`
 	Keys        int                  `json:"keys"`
 	ZipfTheta   float64              `json:"zipf_theta"`
 	ReadClients int                  `json:"read_clients"`
@@ -299,15 +299,6 @@ func Frontend(opt Options) (*FrontendResult, error) {
 		ZipfTheta:   frontendTheta,
 		ReadClients: frontendClients,
 		NumCPU:      runtime.NumCPU(),
-	}
-	// Mirror the server's default shard count (see newFrontend) for the
-	// record; the servers below all use ConnShards=0 (auto).
-	res.ConnShards = runtime.GOMAXPROCS(0) / 2
-	if res.ConnShards < 1 {
-		res.ConnShards = 1
-	}
-	if res.ConnShards > 8 {
-		res.ConnShards = 8
 	}
 
 	fmt.Fprintf(opt.Out, "Front-end wire Gets, Zipf(theta=%.2f) over %d keys, %d closed-loop clients (NumCPU=%d)\n",

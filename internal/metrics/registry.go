@@ -75,11 +75,6 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", uint8(p))
 }
 
-// NumLevels bounds the leveled-scheduler (mlsched) per-level histograms; it
-// matches mlsched.MaxLevels without importing the package (metrics sits below
-// every scheduler in the dependency order).
-const NumLevels = 16
-
 // Registry is the always-on observability surface shared by the scheduler and
 // the engine: one ConcurrentHistogram per (class, phase) plus one for uintr
 // delivery latency (SendUIPI post → handler recognition). A nil *Registry is
@@ -87,11 +82,6 @@ const NumLevels = 16
 type Registry struct {
 	hists    [NumClasses][NumPhases]ConcurrentHistogram
 	delivery ConcurrentHistogram
-
-	// levels[l] is the scheduling latency (enqueue → first execution) of
-	// level-l requests in a leveled (mlsched) scheduler; empty unless an
-	// mlsched instance was wired to this registry.
-	levels [NumLevels]ConcurrentHistogram
 
 	// slo[c] is the per-class end-to-end latency SLO target in nanoseconds
 	// (0 = none); sloBreaches[c] counts PhaseTotal observations that exceeded
@@ -181,24 +171,6 @@ func (r *Registry) SLOBreaches(c Class) uint64 {
 		return 0
 	}
 	return r.sloBreaches[c].Load()
-}
-
-// ObserveLevel records one leveled-scheduler scheduling-latency sample for
-// level l (out-of-range levels are dropped).
-func (r *Registry) ObserveLevel(l, hint int, v int64) {
-	if r == nil || l < 0 || l >= NumLevels {
-		return
-	}
-	r.levels[l].Record(hint, v)
-}
-
-// Level returns the histogram for leveled-scheduler level l (nil when out of
-// range).
-func (r *Registry) Level(l int) *ConcurrentHistogram {
-	if r == nil || l < 0 || l >= NumLevels {
-		return nil
-	}
-	return &r.levels[l]
 }
 
 // ObserveDelivery records one uintr delivery-latency sample.
@@ -381,16 +353,6 @@ type RegistrySnapshot struct {
 	// per-class SLO watermark; zero when no SLO is configured.
 	SLOBreachesHi uint64 `json:"slo_breaches_hi"`
 	SLOBreachesLo uint64 `json:"slo_breaches_lo"`
-	// LevelSchedLatency is the leveled scheduler's (mlsched) per-level
-	// scheduling-latency decomposition; only levels that recorded samples
-	// appear, so the field is absent unless an mlsched is wired in.
-	LevelSchedLatency []LevelSummary `json:"level_sched_latency,omitempty"`
-}
-
-// LevelSummary is one mlsched level's scheduling-latency summary.
-type LevelSummary struct {
-	Level        int     `json:"level"`
-	SchedLatency Summary `json:"sched_latency"`
 }
 
 // Snapshot summarizes every (class, phase) histogram plus delivery latency.
@@ -418,11 +380,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	snap.ConnsOpen = r.connsOpen.Load()
 	snap.SLOBreachesHi = r.sloBreaches[ClassHi].Load()
 	snap.SLOBreachesLo = r.sloBreaches[ClassLo].Load()
-	for l := 0; l < NumLevels; l++ {
-		if sum := r.levels[l].Summarize(); sum.Count > 0 {
-			snap.LevelSchedLatency = append(snap.LevelSchedLatency, LevelSummary{Level: l, SchedLatency: sum})
-		}
-	}
 	return snap
 }
 
@@ -456,12 +413,6 @@ func MergedSnapshot(regs []*Registry) RegistrySnapshot {
 		}
 	}
 	snap.UintrDelivery = merge(func(r *Registry) *ConcurrentHistogram { return r.Delivery() })
-	for l := 0; l < NumLevels; l++ {
-		l := l
-		if sum := merge(func(r *Registry) *ConcurrentHistogram { return r.Level(l) }); sum.Count > 0 {
-			snap.LevelSchedLatency = append(snap.LevelSchedLatency, LevelSummary{Level: l, SchedLatency: sum})
-		}
-	}
 	for _, r := range regs {
 		snap.StallYields += r.StallYields()
 		snap.InterleaveSwitches += r.InterleaveSwitches()
@@ -513,21 +464,13 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP preemptdb_conns_shed_total Connections and requests shed by edge admission.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_conns_shed_total counter\n")
 	fmt.Fprintf(w, "preemptdb_conns_shed_total %d\n", s.ConnsShed)
-	fmt.Fprintf(w, "# HELP preemptdb_conns_open Currently open server connections across connection shards.\n")
+	fmt.Fprintf(w, "# HELP preemptdb_conns_open Currently open server connections.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_conns_open gauge\n")
 	fmt.Fprintf(w, "preemptdb_conns_open %d\n", s.ConnsOpen)
 	fmt.Fprintf(w, "# HELP preemptdb_slo_breaches_total End-to-end latency samples over the per-class SLO watermark.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_slo_breaches_total counter\n")
 	fmt.Fprintf(w, "preemptdb_slo_breaches_total{class=\"hi\"} %d\n", s.SLOBreachesHi)
 	fmt.Fprintf(w, "preemptdb_slo_breaches_total{class=\"lo\"} %d\n", s.SLOBreachesLo)
-	if len(s.LevelSchedLatency) > 0 {
-		fmt.Fprintf(w, "# HELP preemptdb_level_sched_latency_nanoseconds Leveled-scheduler scheduling latency by level.\n")
-		fmt.Fprintf(w, "# TYPE preemptdb_level_sched_latency_nanoseconds summary\n")
-		for _, ls := range s.LevelSchedLatency {
-			writePromSummary(w, "preemptdb_level_sched_latency_nanoseconds",
-				fmt.Sprintf(`level="%d"`, ls.Level), ls.SchedLatency)
-		}
-	}
 }
 
 func writePromSummary(w io.Writer, name, labels string, sum Summary) {

@@ -65,29 +65,3 @@ func TestSLOBreachDetection(t *testing.T) {
 		t.Fatalf("snapshot breaches hi/lo = %d/%d, want 2/0", snap.SLOBreachesHi, snap.SLOBreachesLo)
 	}
 }
-
-// TestObserveLevelSnapshot: leveled-scheduler samples land in per-level
-// histograms and surface through the snapshot.
-func TestObserveLevelSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.ObserveLevel(0, 0, 100)
-	r.ObserveLevel(2, 1, 300)
-	r.ObserveLevel(2, 0, 500)
-	r.ObserveLevel(-1, 0, 1)        // dropped
-	r.ObserveLevel(NumLevels, 0, 1) // dropped
-
-	if got := r.Level(2).Count(); got != 2 {
-		t.Fatalf("level 2 count = %d, want 2", got)
-	}
-	if r.Level(NumLevels) != nil {
-		t.Fatal("out-of-range Level must be nil")
-	}
-	snap := r.Snapshot()
-	seen := map[int]uint64{}
-	for _, ls := range snap.LevelSchedLatency {
-		seen[ls.Level] = ls.SchedLatency.Count
-	}
-	if seen[0] != 1 || seen[2] != 2 {
-		t.Fatalf("snapshot level counts = %v, want level0=1 level2=2", seen)
-	}
-}

@@ -3,10 +3,11 @@
 // produces transaction requests into each worker's high- and low-priority
 // queues, and the worker's contexts consume them.
 //
-// Two variants are provided. SPSC is the fast path used when exactly one
-// scheduling thread feeds one worker. MPMC is a Vyukov-style bounded queue
-// used where several producers (e.g. multiple scheduling threads, or both of
-// a worker's contexts re-enqueueing) may touch the queue.
+// Two variants are provided. MPMC is a Vyukov-style bounded queue and the one
+// the scheduler uses for every queue: any goroutine may submit. SPSC is the
+// ring for exactly one producer and one consumer; nothing in the program uses
+// it any more, and it stays only because the benchmark ladder prices it
+// beside MPMC.
 package queue
 
 import (
@@ -103,11 +104,15 @@ func (q *SPSC[T]) Free() int { return q.Cap() - q.Len() }
 // producers and consumers without locks.
 type MPMC[T any] struct {
 	mask uint64
-	buf  []mpmcSlot[T]
-	_    [48]byte
-	head atomic.Uint64 // consumer ticket
-	_    [56]byte
-	tail atomic.Uint64 // producer ticket
+	// limit is the number of elements the queue holds. It equals len(buf)
+	// except for a one-element queue, whose ring has two slots: with a single
+	// slot the sequence tickets of "full" and "free" coincide.
+	limit uint64
+	buf   []mpmcSlot[T]
+	_     [40]byte
+	head  atomic.Uint64 // consumer ticket
+	_     [56]byte
+	tail  atomic.Uint64 // producer ticket
 }
 
 type mpmcSlot[T any] struct {
@@ -117,8 +122,9 @@ type mpmcSlot[T any] struct {
 
 // NewMPMC returns an MPMC queue holding at least capacity elements.
 func NewMPMC[T any](capacity int) *MPMC[T] {
-	n := nextPow2(capacity)
-	q := &MPMC[T]{mask: uint64(n - 1), buf: make([]mpmcSlot[T], n)}
+	limit := nextPow2(capacity)
+	n := max(limit, 2)
+	q := &MPMC[T]{mask: uint64(n - 1), limit: uint64(limit), buf: make([]mpmcSlot[T], n)}
 	for i := range q.buf {
 		q.buf[i].seq.Store(uint64(i))
 	}
@@ -133,6 +139,12 @@ func (q *MPMC[T]) Push(v T) bool {
 		seq := s.seq.Load()
 		switch {
 		case seq == t:
+			// head only grows, so a stale read can only refuse a push that
+			// would have fit, never admit one past the limit; a stale t reads
+			// as negative and fails the CAS below instead.
+			if q.limit <= q.mask && int64(t-q.head.Load()) >= int64(q.limit) {
+				return false // full
+			}
 			if q.tail.CompareAndSwap(t, t+1) {
 				s.v = v
 				s.seq.Store(t + 1)
@@ -179,7 +191,7 @@ func (q *MPMC[T]) Len() int {
 }
 
 // Cap returns the queue capacity.
-func (q *MPMC[T]) Cap() int { return len(q.buf) }
+func (q *MPMC[T]) Cap() int { return int(q.limit) }
 
 // Empty reports whether the queue is approximately empty.
 func (q *MPMC[T]) Empty() bool { return q.Len() == 0 }

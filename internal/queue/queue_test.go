@@ -118,21 +118,37 @@ func TestMPMCBasic(t *testing.T) {
 }
 
 func TestMPMCFull(t *testing.T) {
-	q := NewMPMC[int](2)
-	if !q.Push(1) || !q.Push(2) {
-		t.Fatal("fill failed")
-	}
-	if q.Push(3) {
-		t.Fatal("push to full succeeded")
-	}
-	q.Pop()
-	if !q.Push(3) {
-		t.Fatal("push after pop failed")
+	for _, capacity := range []int{1, 2, 4} {
+		q := NewMPMC[int](capacity)
+		if q.Cap() != capacity {
+			t.Fatalf("capacity %d: Cap = %d", capacity, q.Cap())
+		}
+		for i := 0; i < capacity; i++ {
+			if !q.Push(i) {
+				t.Fatalf("capacity %d: fill failed at %d", capacity, i)
+			}
+		}
+		if q.Push(99) {
+			t.Fatalf("capacity %d: push to full succeeded", capacity)
+		}
+		if v, ok := q.Pop(); !ok || v != 0 {
+			t.Fatalf("capacity %d: pop = (%d,%v)", capacity, v, ok)
+		}
+		if !q.Push(99) {
+			t.Fatalf("capacity %d: push after pop failed", capacity)
+		}
 	}
 }
 
 func TestMPMCConcurrentSum(t *testing.T) {
-	q := NewMPMC[int](128)
+	// Capacity 1 is the scheduler's default low-priority queue.
+	for _, capacity := range []int{1, 128} {
+		testMPMCConcurrentSum(t, capacity)
+	}
+}
+
+func testMPMCConcurrentSum(t *testing.T, capacity int) {
+	q := NewMPMC[int](capacity)
 	const producers, perProducer = 4, 20000
 	var produced, consumed atomic.Int64
 	var wg sync.WaitGroup

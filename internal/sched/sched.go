@@ -237,12 +237,13 @@ func (c Config) withDefaults() Config {
 }
 
 // Scheduler owns the workers and implements the dispatch side of the
-// policies. One goroutine (the "scheduling thread") should perform all
-// Submit calls; workers consume concurrently.
+// policies. Submit calls may come from any number of goroutines (the facade
+// submits from every caller, the server from every connection); workers
+// consume concurrently.
 type Scheduler struct {
 	cfg     Config
 	workers []*Worker
-	rr      int // round-robin cursor for high-priority dispatch
+	rr      atomic.Uint64 // round-robin cursor for high-priority dispatch
 
 	// morselQ is the shared stealable work queue for parallel analytical
 	// sub-requests: any worker with nothing else to do pops a task and helps
@@ -274,7 +275,9 @@ type Worker struct {
 	// context all pop from it (never truly concurrently, but across the
 	// park/unpark handoff).
 	hiQ *queue.MPMC[*Request]
-	loQ *queue.SPSC[*Request]
+	// loQ has one consumer at a time but any number of producers: every
+	// goroutine that submits at Low pushes here.
+	loQ *queue.MPMC[*Request]
 
 	executedHi atomic.Uint64
 	executedLo atomic.Uint64
@@ -317,9 +320,11 @@ type slotState struct {
 	// the core makes it pull new work from the queues (that is how the
 	// dispatcher fills a worker's K-1 slots). A slot with neither flag is
 	// either running or preempt-parked (owed a resume by the preemptive
-	// loop) and must not be switched to.
-	stallParked bool
-	idle        bool
+	// loop) and must not be switched to. These two are the only slot fields a
+	// sibling reads, and they are atomic for the one moment the handoff does
+	// not order those reads: Shutdown wakes every parked context at once.
+	stallParked atomic.Bool
+	idle        atomic.Bool
 }
 
 // Published slot states (SlotInfo.State).
@@ -491,12 +496,12 @@ func New(cfg Config) *Scheduler {
 			s:     s,
 			core:  pcontext.NewCore(i, cfg.ContextsPerCore),
 			hiQ:   queue.NewMPMC[*Request](cfg.HiQueueSize),
-			loQ:   queue.NewSPSC[*Request](cfg.LoQueueSize),
+			loQ:   queue.NewMPMC[*Request](cfg.LoQueueSize),
 			slots: make([]slotState, cfg.ContextsPerCore),
 			pubs:  make([]slotPub, cfg.ContextsPerCore),
 		}
 		for si := range w.slots {
-			w.slots[si].idle = true // every slot starts parked with no request
+			w.slots[si].idle.Store(true) // every slot starts parked with no request
 		}
 		w.core.SetUserData(w)
 		if cfg.TraceCapacity > 0 {
@@ -754,16 +759,16 @@ func (w *Worker) stallPoint(cur *pcontext.Context) {
 		return // no runnable sibling: keep running (the "prefetch hit" path)
 	}
 	st := &w.slots[id]
-	st.stallParked = true
+	st.stallParked.Store(true)
 	st.stallStart = clock.Nanos()
 	w.publish(id, pubStallParked, st.curClass, st.curTag)
 	w.s.metrics.IncStallYield()
-	if w.slots[target.ID()].stallParked {
+	if w.slots[target.ID()].stallParked.Load() {
 		w.s.metrics.IncInterleaveSwitch()
 	}
 	cur.SwapContext(target)
 	// Resumed: a sibling rotated back (or handed over before going idle).
-	st.stallParked = false
+	st.stallParked.Store(false)
 	st.stallNs += clock.Nanos() - st.stallStart
 	st.stallStart = 0
 	w.publish(id, pubRunning, st.curClass, st.curTag)
@@ -782,7 +787,7 @@ func (w *Worker) rotationTarget(from int) *pcontext.Context {
 			j -= n
 		}
 		st := &w.slots[j]
-		if st.stallParked || (wantIdle && st.idle) {
+		if st.stallParked.Load() || (wantIdle && st.idle.Load()) {
 			return w.core.Context(j)
 		}
 	}
@@ -799,7 +804,7 @@ func (w *Worker) stallParkedSibling(from int) *pcontext.Context {
 		if j >= n {
 			j -= n
 		}
-		if w.slots[j].stallParked {
+		if w.slots[j].stallParked.Load() {
 			return w.core.Context(j)
 		}
 	}
@@ -839,25 +844,25 @@ func (w *Worker) slotLoop(ctx *pcontext.Context) {
 		// before any admission decision is taken against this worker.
 		if !ranLow {
 			if req, ok := w.loQ.Pop(); ok {
-				st.idle = false
+				st.idle.Store(false)
 				w.runLow(ctx, req)
-				st.idle = true
+				st.idle.Store(true)
 				ranLow = true
 				idle = 0
 				continue
 			}
 		}
 		if req, ok := w.hiQ.Pop(); ok {
-			st.idle = false
+			st.idle.Store(false)
 			w.execute(ctx, req)
-			st.idle = true
+			st.idle.Store(true)
 			idle = 0
 			continue
 		}
 		if req, ok := w.loQ.Pop(); ok {
-			st.idle = false
+			st.idle.Store(false)
 			w.runLow(ctx, req)
-			st.idle = true
+			st.idle.Store(true)
 			ranLow = true
 			idle = 0
 			continue
@@ -867,9 +872,9 @@ func (w *Worker) slotLoop(ctx *pcontext.Context) {
 		// high-priority burst preempts the stolen work like any low-priority
 		// transaction.
 		if fn, ok := w.s.morselQ.Pop(); ok {
-			st.idle = false
+			st.idle.Store(false)
 			w.runMorsel(ctx, fn)
-			st.idle = true
+			st.idle.Store(true)
 			idle = 0
 			continue
 		}
@@ -1085,8 +1090,7 @@ func (s *Scheduler) SubmitHighBatch(reqs []*Request) int {
 	thr := s.cfg.StarvationThreshold
 	remaining := reqs
 	for attempts := 0; attempts < len(s.workers) && len(remaining) > 0; attempts++ {
-		w := s.workers[s.rr]
-		s.rr = (s.rr + 1) % len(s.workers)
+		w := s.workers[(s.rr.Add(1)-1)%uint64(len(s.workers))]
 		// Decision point 1 (§5): when the worker's starvation level has
 		// reached the threshold, push nothing and send no interrupt. The
 		// level stays defined between low-priority transactions (T0 is only

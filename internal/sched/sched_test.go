@@ -2,6 +2,7 @@ package sched
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,10 +85,11 @@ func TestWaitPolicyRunsBothPriorities(t *testing.T) {
 	if hi.Load() != 1 || lo.Load() != 1 {
 		t.Fatalf("hi=%d lo=%d", hi.Load(), lo.Load())
 	}
+	// The worker counts a request after its body returns, so the counters
+	// can trail the bodies' own signals.
 	w := s.Workers()[0]
-	if w.ExecutedHigh() != 1 || w.ExecutedLow() != 1 {
-		t.Fatalf("worker counters: hi=%d lo=%d", w.ExecutedHigh(), w.ExecutedLow())
-	}
+	waitFor(t, func() bool { return w.ExecutedHigh() == 1 && w.ExecutedLow() == 1 },
+		5*time.Second, "worker counters never reached hi=1 lo=1")
 }
 
 func TestWaitPolicyHighWaitsForLong(t *testing.T) {
@@ -514,4 +516,66 @@ func TestSubmitMorselFull(t *testing.T) {
 	if s.SubmitMorsel(func(ctx *pcontext.Context) {}) {
 		t.Fatal("push beyond capacity accepted")
 	}
+}
+
+// TestConcurrentSubmitLowLosesNoRequest: any goroutine may submit (every
+// server connection does), so racing SubmitLow calls into one worker's low
+// queue must each either be refused or run to OnDone — never overwrite one
+// another in a queue slot.
+func TestConcurrentSubmitLowLosesNoRequest(t *testing.T) {
+	s := New(Config{Policy: PolicyPreempt, Workers: 1, LoQueueSize: 8})
+	s.Start()
+	defer s.Stop()
+
+	const producers, perProducer = 4, 10000
+	var done atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				req := &Request{
+					Work:   func(*pcontext.Context) error { return nil },
+					OnDone: func(*Request) { done.Add(1) },
+				}
+				for !s.SubmitLow(0, req) {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, func() bool { return done.Load() == producers*perProducer },
+		30*time.Second, "accepted low-priority requests never reached OnDone")
+}
+
+// TestConcurrentSubmitHighBatch: racing SubmitHighBatch callers share the
+// round-robin cursor; every accepted request completes.
+func TestConcurrentSubmitHighBatch(t *testing.T) {
+	s := New(Config{Policy: PolicyPreempt, Workers: 2})
+	s.Start()
+	defer s.Stop()
+
+	const producers, perProducer = 4, 2000
+	var done atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				req := &Request{
+					Work:   func(*pcontext.Context) error { return nil },
+					OnDone: func(*Request) { done.Add(1) },
+				}
+				for s.SubmitHighBatch([]*Request{req}) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, func() bool { return done.Load() == producers*perProducer },
+		30*time.Second, "accepted high-priority requests never reached OnDone")
 }

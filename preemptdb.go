@@ -229,12 +229,6 @@ type Config struct {
 	// flight-recorder bundle as an indented JSON file
 	// (flight-<unix-nanos>.json) under this directory.
 	FlightRecorderDir string
-	// ConnShards is the number of connection shards the network server (see
-	// package server) multiplexes its connections across — each shard runs
-	// one event-loop goroutine plus a small worker pool, with connections
-	// assigned at accept time by fd hash. 0 picks a default from GOMAXPROCS;
-	// negative selects the legacy goroutine-per-connection front-end.
-	ConnShards int
 	// CacheBytes, when > 0, enables the hot-key read-through cache in front
 	// of the MVCC read path with this total size budget (split evenly across
 	// engine shards). Skewed point reads at snapshot isolation hit the cache
@@ -307,9 +301,8 @@ func IsWALFailed(err error) bool { return errors.Is(err, ErrWALFailed) }
 // shard is one hash partition of the database: a complete engine instance —
 // MVCC state and indexes, timestamp oracle, WAL stream — plus its own
 // scheduler (preemption cores, steal queue, per-class histograms) and
-// per-shard counters. With Config.Shards == 1 the facade degenerates to
-// exactly the pre-sharding wiring: one shard, flat directory layout, pooled
-// zero-allocation transactions.
+// per-shard counters. Config.Shards == 1 is one shard behind the same facade
+// code; only its on-disk layout differs (flat directory, no decision table).
 type shard struct {
 	eng *engine.Engine
 	sch *sched.Scheduler
@@ -671,20 +664,10 @@ func (db *DB) runOn(ctx *pcontext.Context, fn func(tx *Txn) error) error {
 	return fmt.Errorf("%w: %w", ErrConflict, err)
 }
 
+// attempt runs fn once. Participants begin lazily as keys route to shards —
+// at any shard count, one included — and commit picks plain commit or 2PC by
+// how many shards were written.
 func (db *DB) attempt(ctx *pcontext.Context, fn func(tx *Txn) error) error {
-	if len(db.shards) == 1 {
-		// Single-shard fast path: identical to the pre-sharding wiring —
-		// eager pooled transaction, no routing, no participant tracking.
-		inner := db.shards[0].eng.Begin(ctx)
-		tx := &Txn{db: db, inner: inner, ctx: ctx}
-		defer inner.Abort()
-		if err := fn(tx); err != nil {
-			return err
-		}
-		return inner.Commit()
-	}
-	// Multi-shard: participants begin lazily as keys route to shards; commit
-	// picks plain commit or 2PC by how many shards were written.
 	tx := &Txn{db: db, ctx: ctx, parts: make([]*engine.Txn, len(db.shards))}
 	defer tx.abortParts()
 	if err := fn(tx); err != nil {
@@ -793,9 +776,6 @@ func (sh *shard) classify(err error) {
 // that shard's scheduler; its data accesses still reach whatever shards its
 // keys hash to.
 func (db *DB) routeShard(route []byte) *shard {
-	if len(db.shards) == 1 {
-		return db.shards[0]
-	}
 	if route != nil {
 		return db.shards[dtx.ShardOf(route, len(db.shards))]
 	}
@@ -1250,8 +1230,8 @@ func (db *DB) Stats() Stats {
 }
 
 // Config returns the configuration the database was opened with (defaults
-// applied). The network server reads its front-end knobs — ConnShards, the
-// per-priority connection and in-flight limits — from here.
+// applied). The network server reads its front-end knobs — the per-priority
+// connection and in-flight limits — from here.
 func (db *DB) Config() Config { return db.cfg }
 
 // FrontendRegistry returns the registry the network front-end records its
@@ -1274,11 +1254,7 @@ func (db *DB) QueueDelayEstimate() time.Duration {
 // Config.CacheBytes is zero — and the caller falls back to a transaction.
 // The returned slice is shared and must be treated as read-only.
 func (db *DB) CachedGet(table string, key []byte) ([]byte, bool) {
-	si := 0
-	if len(db.shards) > 1 {
-		si = dtx.ShardOf(key, len(db.shards))
-	}
-	return db.shards[si].eng.CachedGet(table, key)
+	return db.shards[dtx.ShardOf(key, len(db.shards))].eng.CachedGet(table, key)
 }
 
 // Txn is a transaction handle passed to user functions. It is only valid
@@ -1288,9 +1264,7 @@ func (db *DB) CachedGet(table string, key []byte) ([]byte, bool) {
 type Txn struct {
 	db  *DB
 	ctx *pcontext.Context
-	// inner is the single-shard fast path: set iff Shards == 1.
-	inner *engine.Txn
-	// parts are the lazily-begun per-shard participants (multi-shard only).
+	// parts are the lazily-begun per-shard participants.
 	parts []*engine.Txn
 	// snapGen, once a participant exists, holds db.xsGen+1 as observed at the
 	// first begin (the +1 keeps zero meaning "no participant yet"). Later
@@ -1316,33 +1290,31 @@ var errSnapshotRace = fmt.Errorf(
 // resolution from this transaction's earlier snapshots fails with
 // errSnapshotRace (retryable) — see DB.xsMu.
 func (t *Txn) part(si int) (*engine.Txn, error) {
-	if t.inner != nil {
-		return t.inner, nil
+	if p := t.parts[si]; p != nil {
+		return p, nil
 	}
-	p := t.parts[si]
-	if p == nil {
+	// With no second shard there is no cross-shard commit to straddle, and
+	// the gate is skipped: its read side is one shared reader count that
+	// every begin on every core would otherwise update.
+	if len(t.parts) > 1 {
 		t.db.xsMu.RLock()
+		defer t.db.xsMu.RUnlock()
 		gen := t.db.xsGen.Load() + 1
 		if t.snapGen == 0 {
 			t.snapGen = gen
 		} else if t.snapGen != gen {
-			t.db.xsMu.RUnlock()
 			return nil, errSnapshotRace
 		}
-		p = t.db.shards[si].eng.Begin(t.ctx)
-		t.parts[si] = p
-		t.db.xsMu.RUnlock()
 	}
+	p := t.db.shards[si].eng.Begin(t.ctx)
+	t.parts[si] = p
 	return p, nil
 }
 
 // at resolves a keyed access: the owning shard's participant and its handle
 // for the named table.
 func (t *Txn) at(table string, key []byte) (*engine.Txn, *engine.Table, error) {
-	si := 0
-	if t.inner == nil {
-		si = dtx.ShardOf(key, len(t.db.shards))
-	}
+	si := dtx.ShardOf(key, len(t.db.shards))
 	tab, err := t.db.shards[si].eng.Table(table)
 	if err != nil {
 		return nil, nil, err
@@ -1403,25 +1375,11 @@ func (t *Txn) Delete(table string, key []byte) error {
 // false to stop. The scan is preemptible at every record. On a sharded
 // database the per-shard scans are merged into one global key order.
 func (t *Txn) Scan(table string, from, to []byte, fn func(key, value []byte) bool) error {
-	if t.inner != nil {
-		tab, err := t.db.shards[0].eng.Table(table)
-		if err != nil {
-			return err
-		}
-		return t.inner.Scan(tab, from, to, fn)
-	}
 	return t.mergeScan(table, "", from, to, false, fn)
 }
 
 // ScanDesc is Scan in descending key order.
 func (t *Txn) ScanDesc(table string, from, to []byte, fn func(key, value []byte) bool) error {
-	if t.inner != nil {
-		tab, err := t.db.shards[0].eng.Table(table)
-		if err != nil {
-			return err
-		}
-		return t.inner.ScanDesc(tab, from, to, fn)
-	}
 	return t.mergeScan(table, "", from, to, true, fn)
 }
 
@@ -1429,25 +1387,11 @@ func (t *Txn) ScanDesc(table string, from, to []byte, fn func(key, value []byte)
 // sharded database rows merge in index-key order; rows sharing an index key
 // may interleave across shards in arbitrary order.
 func (t *Txn) ScanIndex(table, index string, from, to []byte, fn func(key, value []byte) bool) error {
-	if t.inner != nil {
-		tab, err := t.db.shards[0].eng.Table(table)
-		if err != nil {
-			return err
-		}
-		return t.inner.ScanIndex(tab, index, from, to, fn)
-	}
 	return t.mergeScan(table, index, from, to, false, fn)
 }
 
 // ScanIndexDesc is ScanIndex in descending index-key order.
 func (t *Txn) ScanIndexDesc(table, index string, from, to []byte, fn func(key, value []byte) bool) error {
-	if t.inner != nil {
-		tab, err := t.db.shards[0].eng.Table(table)
-		if err != nil {
-			return err
-		}
-		return t.inner.ScanIndexDesc(tab, index, from, to, fn)
-	}
 	return t.mergeScan(table, index, from, to, true, fn)
 }
 
@@ -1487,13 +1431,6 @@ func (t *Txn) ParallelScan(table string, from, to []byte, morsels int, fn func(k
 			},
 			func(a, _ struct{}) struct{} { return a })
 		return err
-	}
-	if t.inner != nil {
-		tab, err := t.db.shards[0].eng.Table(table)
-		if err != nil {
-			return err
-		}
-		return scanShard(t.inner, tab)
 	}
 	for si := range t.db.shards {
 		if stop.Load() {

@@ -3,296 +3,99 @@ package server
 import (
 	"encoding/binary"
 	"net"
-	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"preemptdb/internal/metrics"
 )
 
-// Sharded connection front-end. Instead of one goroutine per connection
-// blocking in readFrame, connections are hashed across N conn shards at
-// accept time. Each shard owns an event-loop goroutine (epoll on Linux, a
-// thin read-pump fallback elsewhere) that parses frames zero-copy out of a
-// per-shard read buffer, plus a small worker pool that executes the decoded
-// scripts. Requests are classified into a priority class from the first
-// frame a connection sends, and per-class connection/in-flight limits shed
-// excess load at the network edge — with a typed statusQueueFull frame,
-// never silently — before the request can consume an engine admission slot.
+// The connection path. Every accepted connection gets one goroutine that does
+// everything between the socket and the commit: it blocks in Read (the Go
+// runtime parks it on its network poller, which is epoll/kqueue underneath), parses
+// complete frames in place out of its own buffer, classifies the connection
+// from its first frame, applies the per-class edge admission, executes each
+// frame of the read in order, and flushes the responses once per read.
+// Nothing is handed to another goroutine, so there is no queue, lock or
+// ordering protocol between reading a request and writing its response, and
+// what a connection can hold in memory is bounded by one read's worth of
+// frames; the kernel's socket buffers are the back-pressure on a client that
+// pipelines faster than the server executes.
 
 const (
 	classNone int32 = -1 // connection not yet classified
 	classLo   int32 = 0
 	classHi   int32 = 1
 
-	// maxPipeline bounds how many parsed-but-unexecuted frames a single
-	// connection may buffer before its read side is paused (event-loop
-	// registration dropped, or the pump goroutine parked). Backpressure in
-	// the kernel socket buffer then throttles the client.
-	maxPipeline = 256
-
-	// workersPerShard sizes each shard's execution pool. Workers block in
-	// ExecOpts for the duration of a script, so a few per shard keep the
-	// shard responsive while one connection runs a long transaction.
-	workersPerShard = 4
+	// connBuf is the size of a connection's read buffer (it grows past this
+	// only to hold one larger frame, and shrinks back afterwards) and the
+	// response-buffer fill at which responses go out before the read's last
+	// frame is answered.
+	connBuf = 64 << 10
 )
 
-type frontend struct {
-	s      *Server
-	reg    *metrics.Registry // the DB's front-end registry (conns shed/open)
-	shards []*connShard
-
-	// Per-class accounting and limits (index classLo/classHi; 0 = unlimited).
-	conns         [2]atomic.Int64
-	inflight      [2]atomic.Int64
-	connLimit     [2]int64
-	inflightLimit [2]int64
-
-	next atomic.Uint64 // round-robin shard pick for the pump path
-
-	stop     chan struct{}
-	stopOnce sync.Once
-}
-
-type connShard struct {
-	fe      *frontend
-	id      int
-	runq    chan *econn
-	open    atomic.Int64 // connections currently assigned to this shard
-	poller  *poller      // nil on the goroutine-pump path
-	readBuf []byte       // event-loop read scratch (loop goroutine only)
-
-	mu    sync.Mutex
-	conns map[*econn]struct{}
-}
-
-// econn is one front-end connection: the original net.Conn (used for writes
-// and deadlines), the dup'd file when the connection is registered in an
-// event loop, and the pending-batch queue handed to the shard workers.
-type econn struct {
-	fe *frontend
-	sh *connShard
+// conn is one client connection. Only its own goroutine touches the fields
+// below nc.
+type conn struct {
+	s  *Server
 	nc net.Conn
-	f  *os.File // event-loop path: dup'd fd registered with epoll
-	fd int
 
-	class atomic.Int32
-
-	mu      sync.Mutex
-	cond    *sync.Cond // signaled when pending drains (pump backpressure)
-	pending [][]byte   // escape-copied complete frames awaiting execution
-	active  bool       // a worker currently owns this connection
-	stalled bool       // read side paused until the workers catch up
-	closed  bool
-
-	wmu sync.Mutex // serializes response writes (workers + inline fast path)
-	bw  *writerTo
-
-	// Reader-goroutine state: leftover partial frame bytes, the frame-slice
-	// parse scratch, and a response scratch for inline/shed replies.
-	partial  []byte
-	frames   [][]byte
-	rscratch []byte
-
-	lastActive atomic.Int64 // ns timestamp of the last byte received
-
-	closeOnce sync.Once
+	class int32  // classNone until the first frame arrives
+	wbuf  []byte // framed responses not yet written
 }
 
-// writerTo is a tiny buffered writer over the conn; bufio.Writer would do,
-// but keeping the byte slice visible lets a whole batch of responses go out
-// in one write syscall without intermediate copies growing unchecked.
-type writerTo struct {
-	nc  net.Conn
-	buf []byte
-}
-
-func (w *writerTo) writeFrame(payload []byte) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
-}
-
-func (w *writerTo) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	_, err := w.nc.Write(w.buf)
-	// Keep the grown array, drop oversized one-off spikes.
-	if cap(w.buf) > 1<<20 {
-		w.buf = nil
-	} else {
-		w.buf = w.buf[:0]
-	}
-	return err
-}
-
-func newFrontend(s *Server, nshards int) *frontend {
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0) / 2
-		if nshards < 1 {
-			nshards = 1
+// serve is the connection's goroutine.
+func (c *conn) serve() {
+	s := c.s
+	defer s.wg.Done()
+	defer c.close()
+	buf := make([]byte, connBuf)
+	n := 0              // buf[:n] is an incomplete frame carried over from earlier reads
+	var frames [][]byte // the current read's complete frames, aliasing buf
+	wait := true        // the next read starts the wait for a new frame
+	for {
+		// The idle clock runs from the last complete frame, so it bounds both
+		// a silent peer and one that stalls (or trickles) mid-frame. It is
+		// armed only here, while waiting to read: a connection whose requests
+		// are executing is not idle however long they take.
+		if wait && s.IdleTimeout > 0 {
+			c.nc.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		if nshards > 8 {
-			nshards = 8
-		}
-	}
-	cfg := s.db.Config()
-	fe := &frontend{
-		s:    s,
-		reg:  s.db.FrontendRegistry(),
-		stop: make(chan struct{}),
-	}
-	fe.connLimit[classLo] = int64(cfg.LoConnLimit)
-	fe.connLimit[classHi] = int64(cfg.HiConnLimit)
-	fe.inflightLimit[classLo] = int64(cfg.LoInFlightLimit)
-	fe.inflightLimit[classHi] = int64(cfg.HiInFlightLimit)
-	for i := 0; i < nshards; i++ {
-		fe.shards = append(fe.shards, &connShard{
-			fe:      fe,
-			id:      i,
-			runq:    make(chan *econn, 256),
-			readBuf: make([]byte, 64<<10),
-			conns:   make(map[*econn]struct{}),
-		})
-	}
-	return fe
-}
-
-// start launches the shard event loops and worker pools. Called once from
-// Listen so tests can flip Server knobs (noPoller, timeouts) after New.
-func (fe *frontend) start() {
-	for _, sh := range fe.shards {
-		if !fe.s.noPoller {
-			sh.poller = newPoller()
-		}
-		if sh.poller != nil {
-			fe.s.wg.Add(1)
-			go sh.pollLoop()
-		}
-		for w := 0; w < workersPerShard; w++ {
-			fe.s.wg.Add(1)
-			go sh.worker()
-		}
-	}
-}
-
-// shutdown stops workers and loops and force-closes every front-end
-// connection (both the original fd and the event-loop dup).
-func (fe *frontend) shutdown() {
-	fe.stopOnce.Do(func() {
-		close(fe.stop)
-		for _, sh := range fe.shards {
-			sh.mu.Lock()
-			conns := make([]*econn, 0, len(sh.conns))
-			for c := range sh.conns {
-				conns = append(conns, c)
-			}
-			sh.mu.Unlock()
-			for _, c := range conns {
-				c.close()
-			}
-			if sh.poller != nil {
-				sh.poller.close()
-			}
-		}
-	})
-}
-
-// adopt takes ownership of a freshly accepted connection: dup the fd and
-// register it with the shard's event loop when a poller is running,
-// otherwise hand it to a per-connection read pump feeding the same shard
-// workers. Shard assignment hashes the fd (stable, cheap) on the poller
-// path and round-robins on the pump path.
-func (fe *frontend) adopt(nc net.Conn) {
-	c := &econn{fe: fe, nc: nc, bw: &writerTo{nc: nc}}
-	c.cond = sync.NewCond(&c.mu)
-	c.class.Store(classNone)
-	c.lastActive.Store(time.Now().UnixNano())
-
-	var sh *connShard
-	if fe.shards[0].poller != nil {
-		if f, fd, ok := dupForPoller(nc); ok {
-			c.f, c.fd = f, fd
-			sh = fe.shards[fd%len(fe.shards)]
-		}
-	}
-	if sh == nil { // pump fallback (non-TCP listener, dup failure, or no poller)
-		sh = fe.shards[int(fe.next.Add(1))%len(fe.shards)]
-	}
-	c.sh = sh
-	sh.mu.Lock()
-	sh.conns[c] = struct{}{}
-	sh.mu.Unlock()
-	sh.open.Add(1)
-	fe.reg.AddConnsOpen(1)
-
-	if c.f != nil {
-		if err := sh.poller.add(c); err == nil {
+		m, err := c.nc.Read(buf[n:])
+		n += m
+		var consumed int
+		var perr error
+		frames, consumed, perr = parseFrames(frames[:0], buf[:n])
+		wait = len(frames) > 0
+		if wait && !c.serveFrames(frames) {
 			return
 		}
-		// Registration failed: fall back to the pump on the original conn.
-		c.f.Close()
-		c.f = nil
-	}
-	fe.s.wg.Add(1)
-	go c.pump()
-}
-
-func (c *econn) close() {
-	c.closeOnce.Do(func() {
-		if cl := c.class.Load(); cl != classNone {
-			c.fe.conns[cl].Add(-1)
+		if err != nil || perr != nil {
+			// EOF, reset, idle timeout, or a length prefix over maxFrame: the
+			// byte stream is gone or no longer trustworthy.
+			return
 		}
-		c.sh.mu.Lock()
-		delete(c.sh.conns, c)
-		c.sh.mu.Unlock()
-		c.sh.open.Add(-1)
-		c.fe.reg.AddConnsOpen(-1)
-		if c.f != nil {
-			if c.sh.poller != nil {
-				c.sh.poller.remove(c)
+		n = copy(buf, buf[consumed:n])
+		if n >= 4 {
+			// The pending frame may not fit (parseFrames has already held its
+			// length to maxFrame): grow to exactly that frame.
+			if need := 4 + int(binary.BigEndian.Uint32(buf)); need > len(buf) {
+				grown := make([]byte, need)
+				copy(grown, buf[:n])
+				buf = grown
 			}
-			c.f.Close()
+		} else if n == 0 && len(buf) > connBuf {
+			buf = make([]byte, connBuf) // release a large frame's buffer
 		}
-		c.nc.Close()
-		s := c.fe.s
-		s.mu.Lock()
-		delete(s.conns, c.nc)
-		s.mu.Unlock()
-		c.mu.Lock()
-		c.closed = true
-		c.pending = nil
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
+	}
 }
 
-// advance parses the contiguous byte run data (previous partial + new read)
-// into complete frames and routes them; the unconsumed tail is saved as the
-// new partial. data may alias c.partial — the leftover copy is an
-// overlapping memmove, which copy() handles. Returns false when the
-// connection must close (poisoned framing, shed at classification, or a
-// write failure on an inline response).
-func (c *econn) advance(data []byte) bool {
-	var consumed int
-	var err error
-	c.frames, consumed, err = parseFrames(c.frames[:0], data)
-	if err != nil {
-		return false
+func (c *conn) close() {
+	s := c.s
+	c.nc.Close()
+	if c.class != classNone {
+		s.conns[c.class].Add(-1)
 	}
-	ok := true
-	if len(c.frames) > 0 {
-		ok = c.serveFrames(c.frames)
-	}
-	c.partial = append(c.partial[:0], data[consumed:]...)
-	if len(c.partial) == 0 && cap(c.partial) > 64<<10 {
-		c.partial = nil // release a jumbo-frame high-water mark
-	}
-	return ok
+	s.reg.AddConnsOpen(-1)
+	s.mu.Lock()
+	delete(s.open, c)
+	s.mu.Unlock()
 }
 
 // parseFrames extracts complete length-prefixed frames from data as
@@ -318,37 +121,65 @@ func parseFrames(dst [][]byte, data []byte) (frames [][]byte, consumed int, err 
 	}
 }
 
-// serveFrames handles one read's worth of complete frames: classify the
-// connection on its first frame (shedding over-limit classes with a typed
-// frame), answer single idle-connection requests inline when they need no
-// engine transaction, and otherwise escape-copy the batch — the only copy a
-// request ever gets — onto the worker queue.
-func (c *econn) serveFrames(frames [][]byte) bool {
-	s := c.fe.s
-	if c.class.Load() == classNone {
+// serveFrames answers one read's worth of complete frames, in order:
+// classify the connection on its first frame (shedding an over-limit class
+// with a typed frame), then execute each frame and append its response,
+// writing once at the end — a client that pipelines K requests gets its K
+// responses in one write. The frames alias the read buffer, which is not
+// written again until serveFrames returns. It reports false when the
+// connection must close.
+func (c *conn) serveFrames(frames [][]byte) bool {
+	s := c.s
+	if c.class == classNone {
 		class := classifyFrame(frames[0])
-		if !c.fe.admitConn(class) {
-			c.fe.reg.IncConnsShed()
-			resp := encodeResults(c.rscratch[:0], statusQueueFull,
-				"server: connection limit reached for priority class", nil)
-			c.rscratch = resp[:0]
-			c.write(resp)
+		if !s.admitConn(class) {
+			s.reg.IncConnsShed()
+			c.wbuf = appendFrame(c.wbuf, func(b []byte) []byte {
+				return encodeResults(b, statusQueueFull,
+					"server: connection limit reached for priority class", nil)
+			})
+			c.flush()
 			return false
 		}
-		c.class.Store(class)
+		c.class = class
 	}
-	if len(frames) == 1 && c.idle() {
-		if resp, ok := s.fastResponse(c.rscratch[:0], frames[0]); ok {
-			c.rscratch = resp[:0]
-			return c.write(resp) == nil
+	for _, frame := range frames {
+		c.wbuf = appendFrame(c.wbuf, func(b []byte) []byte { return s.respond(b, c.class, frame) })
+		// A peer that does not read its responses must not make them pile up
+		// here: past connBuf they go to the socket, where WriteTimeout bounds
+		// how long a full send buffer can hold this goroutine.
+		if len(c.wbuf) >= connBuf && c.flush() != nil {
+			return false
 		}
 	}
-	batch := make([][]byte, len(frames))
-	for i, f := range frames {
-		batch[i] = append([]byte(nil), f...)
+	return c.flush() == nil
+}
+
+// appendFrame appends one length-prefixed frame whose payload is whatever
+// encode appends.
+func appendFrame(b []byte, encode func([]byte) []byte) []byte {
+	at := len(b)
+	b = encode(append(b, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
+}
+
+// flush writes the buffered responses. The buffer's array is kept for the
+// next read unless one oversized response grew it.
+func (c *conn) flush() error {
+	if len(c.wbuf) == 0 {
+		return nil
 	}
-	c.enqueue(batch)
-	return true
+	if wt := c.s.WriteTimeout; wt > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(wt))
+	}
+	_, err := c.nc.Write(c.wbuf)
+	if cap(c.wbuf) > 4*connBuf {
+		c.wbuf = nil
+	} else {
+		c.wbuf = c.wbuf[:0]
+	}
+	return err
 }
 
 // classifyFrame derives the connection's priority class from its first
@@ -377,163 +208,50 @@ func classifyFrame(frame []byte) int32 {
 	return classHi
 }
 
-func (fe *frontend) admitConn(class int32) bool {
-	limit := fe.connLimit[class]
-	n := fe.conns[class].Add(1)
+func (s *Server) admitConn(class int32) bool {
+	limit := s.connLimit[class]
+	n := s.conns[class].Add(1)
 	if limit > 0 && n > limit {
-		fe.conns[class].Add(-1)
+		s.conns[class].Add(-1)
 		return false
 	}
 	return true
 }
 
-func (fe *frontend) admitRequest(class int32) bool {
-	if class == classNone {
-		class = classLo
-	}
-	limit := fe.inflightLimit[class]
-	n := fe.inflight[class].Add(1)
+func (s *Server) admitRequest(class int32) bool {
+	limit := s.inflightLimit[class]
+	n := s.inflight[class].Add(1)
 	if limit > 0 && n > limit {
-		fe.inflight[class].Add(-1)
+		s.inflight[class].Add(-1)
 		return false
 	}
 	return true
 }
 
-func (fe *frontend) releaseRequest(class int32) {
-	if class == classNone {
-		class = classLo
-	}
-	fe.inflight[class].Add(-1)
-}
+func (s *Server) releaseRequest(class int32) { s.inflight[class].Add(-1) }
 
-func (c *econn) idle() bool {
-	c.mu.Lock()
-	ok := !c.active && len(c.pending) == 0
-	c.mu.Unlock()
-	return ok
-}
-
-// enqueue appends a batch to the connection's pending queue and schedules it
-// on the shard's worker pool if no worker already owns the connection. When
-// the queue outruns the workers, the read side is paused (event-loop
-// deregistration; the pump parks itself in waitDrain).
-func (c *econn) enqueue(batch [][]byte) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.pending = append(c.pending, batch...)
-	if len(c.pending) > maxPipeline && !c.stalled && c.f != nil && c.sh.poller != nil {
-		c.stalled = true
-		c.sh.poller.pause(c)
-	}
-	if c.active {
-		c.mu.Unlock()
-		return
-	}
-	c.active = true
-	c.mu.Unlock()
-	select {
-	case c.sh.runq <- c:
-	case <-c.fe.stop:
-	}
-}
-
-// waitDrain blocks the pump reader until the workers have caught up.
-func (c *econn) waitDrain() {
-	c.mu.Lock()
-	for len(c.pending) > maxPipeline && !c.closed {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-}
-
-// write sends one response frame outside a worker batch (inline fast path,
-// classification shed). wmu orders it against worker-written responses.
-func (c *econn) write(resp []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if wt := c.fe.s.WriteTimeout; wt > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(wt))
-	}
-	c.bw.writeFrame(resp)
-	return c.bw.flush()
-}
-
-// worker executes pending batches for connections handed over the run queue.
-func (sh *connShard) worker() {
-	defer sh.fe.s.wg.Done()
-	var scratch []byte
-	for {
-		select {
-		case c := <-sh.runq:
-			scratch = c.serveBatches(scratch)
-		case <-sh.fe.stop:
-			return
-		}
-	}
-}
-
-// serveBatches drains the connection's pending queue: each swap of the queue
-// is one batch, answered with one flush — a pipelined client gets one write
-// syscall per batch, exactly like the legacy buffered path.
-func (c *econn) serveBatches(scratch []byte) []byte {
-	s := c.fe.s
-	for {
-		c.mu.Lock()
-		batch := c.pending
-		c.pending = nil
-		if len(batch) == 0 {
-			c.active = false
-			resume := c.stalled
-			c.stalled = false
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			if resume && c.f != nil && c.sh.poller != nil {
-				c.sh.poller.resume(c)
-			}
-			return scratch
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
-
-		c.wmu.Lock()
-		if wt := s.WriteTimeout; wt > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(wt))
-		}
-		for _, frame := range batch {
-			resp := s.respond(scratch[:0], c, frame)
-			scratch = resp
-			c.bw.writeFrame(resp)
-		}
-		err := c.bw.flush()
-		c.wmu.Unlock()
-		if err != nil {
-			c.close()
-			return scratch
-		}
-		c.lastActive.Store(time.Now().UnixNano())
-	}
-}
-
-// respond executes one frame with edge admission applied: transaction frames
-// count against the connection class's in-flight limit and are shed with a
-// typed statusQueueFull frame when over it; a deadline-carrying transaction
-// whose timeout is already below the admission controller's EWMA queue-delay
-// estimate is shed immediately with statusDeadline, before it can consume
-// decode or scheduler work. The connection always survives request-level
-// shedding.
-func (s *Server) respond(b []byte, c *econn, frame []byte) []byte {
+// respond executes one frame of a connection of the given class and appends
+// the response payload to b. A single-Get script whose key sits in the
+// hot-key cache is answered from it, without a transaction. Otherwise edge
+// admission applies first: transaction frames count against the class's
+// in-flight limit and are shed with a typed statusQueueFull frame when over
+// it; a deadline-carrying transaction whose timeout is already below the
+// admission controller's EWMA queue-delay estimate is shed with
+// statusDeadline, before it can consume decode or scheduler work. The
+// connection always survives request-level shedding, and a malformed payload
+// inside a well-delimited frame (frame boundaries are still in sync) gets a
+// typed error frame.
+func (s *Server) respond(b []byte, class int32, frame []byte) []byte {
 	if len(frame) > 0 && (frame[0] == reqTxn || frame[0] == reqTxnDeadline) {
-		class := c.class.Load()
-		if !c.fe.admitRequest(class) {
-			c.fe.reg.IncConnsShed()
+		if resp, ok := s.cachedGet(b, frame); ok {
+			return resp
+		}
+		if !s.admitRequest(class) {
+			s.reg.IncConnsShed()
 			return encodeResults(b, statusQueueFull,
 				"server: in-flight limit reached for priority class", nil)
 		}
-		defer c.fe.releaseRequest(class)
+		defer s.releaseRequest(class)
 		if frame[0] == reqTxnDeadline {
 			if micros, n := binary.Uvarint(frame[1:]); n > 0 && micros > 0 {
 				if est := s.db.QueueDelayEstimate(); est > time.Duration(micros)*time.Microsecond {
@@ -543,24 +261,20 @@ func (s *Server) respond(b []byte, c *econn, frame []byte) []byte {
 			}
 		}
 	}
-	resp, err := s.dispatchMode(b, frame, true)
+	resp, err := s.dispatch(b, frame)
 	if err != nil {
-		resp = encodeResults(b[:0], statusError, err.Error(), nil)
+		resp = encodeResults(b, statusError, err.Error(), nil)
 	}
 	return resp
 }
 
-// fastResponse answers requests that need no engine transaction straight
-// from the reader goroutine: ping, and single-op Get scripts whose key is
-// resident in the hot-key cache (served at the newest committed version
-// without entering a scheduler core). frame aliases the read buffer; the
-// response is fully encoded before return, so nothing escapes. Returns
-// false — falling through to the full path — for anything else, including
-// malformed scripts, so the fast path can never mask a typed error.
-func (s *Server) fastResponse(b, frame []byte) ([]byte, bool) {
-	if len(frame) == 1 && frame[0] == reqPing {
-		return encodeResults(b, statusOK, "pong", nil), true
-	}
+// cachedGet answers a single-op Get script whose key is resident in the
+// hot-key cache (served at the newest committed version without entering a
+// scheduler core). frame aliases the read buffer; the response is fully
+// encoded before return, so nothing escapes. It reports false — falling
+// through to the full path — for anything else, including malformed scripts,
+// so it can never mask a typed error.
+func (s *Server) cachedGet(b, frame []byte) ([]byte, bool) {
 	if len(frame) < 2 || frame[0] != reqTxn {
 		return nil, false
 	}
@@ -597,54 +311,4 @@ func (s *Server) fastResponse(b, frame []byte) ([]byte, bool) {
 	}
 	res := [1]OpResult{{Status: statusOK, Value: v}}
 	return encodeResults(b, statusOK, "", res[:]), true
-}
-
-// pump is the portable reader: one goroutine per connection doing blocking
-// reads into a private buffer, feeding the same parse/classify/batch path as
-// the event loop. Used on non-Linux platforms and as a per-connection
-// fallback when fd extraction fails.
-func (c *econn) pump() {
-	s := c.fe.s
-	defer s.wg.Done()
-	defer c.close()
-	buf := make([]byte, 32<<10)
-	for {
-		if it := s.IdleTimeout; it > 0 {
-			c.nc.SetReadDeadline(time.Now().Add(it))
-		}
-		n, err := c.nc.Read(buf)
-		if n > 0 {
-			c.lastActive.Store(time.Now().UnixNano())
-			data := buf[:n]
-			if len(c.partial) > 0 {
-				c.partial = append(c.partial, data...)
-				data = c.partial
-			}
-			if !c.advance(data) {
-				return
-			}
-			c.waitDrain()
-		}
-		if err != nil {
-			// An idle timeout with work still in flight is not idleness —
-			// the worker is producing the response; keep reading.
-			if nerr, ok := err.(net.Error); ok && nerr.Timeout() && !c.idle() {
-				continue
-			}
-			return
-		}
-	}
-}
-
-// ShardConns reports the number of open connections per connection shard.
-// Nil when the server runs the legacy goroutine-per-connection front-end.
-func (s *Server) ShardConns() []int64 {
-	if s.fe == nil {
-		return nil
-	}
-	out := make([]int64, len(s.fe.shards))
-	for i, sh := range s.fe.shards {
-		out[i] = sh.open.Load()
-	}
-	return out
 }

@@ -2,10 +2,10 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +52,7 @@ func TestInFlightShedTypedFrameConnSurvives(t *testing.T) {
 
 	// Occupy the single low-class in-flight slot from the outside, so the
 	// wire request below is deterministically over the limit.
-	if !srv.fe.admitRequest(classLo) {
+	if !srv.admitRequest(classLo) {
 		t.Fatal("could not occupy the in-flight slot")
 	}
 	frame := txnFrame(0, []ScriptOp{{Op: opInsert, Table: "kv", Key: []byte("a"), Value: []byte("1")}})
@@ -66,7 +66,7 @@ func TestInFlightShedTypedFrameConnSurvives(t *testing.T) {
 	}
 
 	// Release the slot: the same connection must serve the retry.
-	srv.fe.releaseRequest(classLo)
+	srv.releaseRequest(classLo)
 	if status, msg := roundTripRaw(t, conn, frame); status != statusOK {
 		t.Fatalf("retry after release: status=%d msg=%q", status, msg)
 	}
@@ -158,87 +158,307 @@ func TestMalformedFirstFrameCannotClaimHighClass(t *testing.T) {
 	}
 }
 
-// TestZeroCopyFrontendByteIdenticalWithLegacy runs the same pipelined
-// workload against the legacy goroutine-per-connection reader
-// (ConnShards: -1), the event-loop front-end, and the portable pump
-// front-end, and requires the concatenated response bytes to be identical:
-// the zero-copy decode and batched execution change no observable byte.
-func TestZeroCopyFrontendByteIdenticalWithLegacy(t *testing.T) {
-	workload := [][]byte{
-		{reqPing},
-		{reqCreateTable, 2, 'k', 'v'},
-	}
-	for i := 0; i < 16; i++ {
-		key := []byte(fmt.Sprintf("k%03d", i))
-		workload = append(workload, txnFrame(uint8(i%2), []ScriptOp{
-			{Op: opInsert, Table: "kv", Key: key, Value: []byte(fmt.Sprintf("v%d", i))},
-		}))
-	}
-	for i := 0; i < 16; i++ {
-		key := []byte(fmt.Sprintf("k%03d", i))
-		workload = append(workload, txnFrame(0, []ScriptOp{{Op: opGet, Table: "kv", Key: key}}))
-	}
-	workload = append(workload,
-		// Multi-op script: update + read + delete + re-read (typed not-found).
-		txnFrame(1, []ScriptOp{
-			{Op: opUpdate, Table: "kv", Key: []byte("k000"), Value: []byte("v0'")},
-			{Op: opGet, Table: "kv", Key: []byte("k000")},
-			{Op: opDelete, Table: "kv", Key: []byte("k001")},
-			{Op: opGet, Table: "kv", Key: []byte("k001")},
-		}),
-		// Scans, ascending and descending with a limit.
-		txnFrame(0, []ScriptOp{{Op: opScan, Table: "kv"}}),
-		txnFrame(0, []ScriptOp{{Op: opScanDesc, Table: "kv", Limit: 5}}),
-		// Duplicate-key error and unknown-table error: typed statuses.
-		txnFrame(0, []ScriptOp{{Op: opInsert, Table: "kv", Key: []byte("k002"), Value: []byte("x")}}),
-		txnFrame(0, []ScriptOp{{Op: opGet, Table: "nope", Key: []byte("k")}}),
-		// Malformed payload inside a well-delimited frame: typed error.
-		[]byte{reqTxn, 0, 1, opGet, 0xFF},
-		[]byte{reqPing},
-	)
+// wireResponse is one decoded response frame plus its raw payload.
+type wireResponse struct {
+	status  uint8
+	msg     string
+	results []OpResult
+	raw     []byte
+}
 
-	run := func(connShards int, noPoller bool) []byte {
-		cfg := preemptdb.Config{Workers: 1, ConnShards: connShards}
-		_, addr := startEdgeServer(t, cfg, func(s *Server) { s.noPoller = noPoller })
-		conn := mustDialRaw(t, addr)
-		conn.SetDeadline(time.Now().Add(30 * time.Second))
-
-		// Pipeline everything in one write, then read all responses back.
-		var batch bytes.Buffer
-		for _, f := range workload {
-			if err := writeFrame(&batch, f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := conn.Write(batch.Bytes()); err != nil {
+// pipeline sends every frame before reading anything — in one write, or in
+// writes of chunk bytes when chunk > 0 — and returns the responses in order.
+// The writes run beside the reads, so a response larger than the socket
+// buffers cannot wedge the exchange.
+func pipeline(t *testing.T, conn net.Conn, frames [][]byte, chunk int) []wireResponse {
+	t.Helper()
+	conn.SetDeadline(time.Now().Add(60 * time.Second))
+	var batch bytes.Buffer
+	for _, f := range frames {
+		if err := writeFrame(&batch, f); err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		for i := range workload {
-			resp, err := readFrame(conn)
-			if err != nil {
-				t.Fatalf("response %d: %v", i, err)
+	}
+	out := batch.Bytes()
+	if chunk <= 0 {
+		chunk = len(out)
+	}
+	werr := make(chan error, 1)
+	go func() {
+		for len(out) > 0 {
+			n := min(chunk, len(out))
+			if _, err := conn.Write(out[:n]); err != nil {
+				werr <- err
+				return
 			}
-			binary.Write(&got, binary.BigEndian, uint32(len(resp)))
-			got.Write(resp)
+			out = out[n:]
 		}
-		return got.Bytes()
+		werr <- nil
+	}()
+	resps := make([]wireResponse, len(frames))
+	for i := range resps {
+		raw, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		r := &resps[i]
+		r.raw = raw
+		if r.status, r.msg, r.results, err = decodeResults(raw); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("writing the batch: %v", err)
+	}
+	return resps
+}
+
+// TestPipelinedWorkloadResponses pipelines one mixed workload in a single
+// write and checks every response on its own: order, statuses, values, scan
+// contents and limits, typed errors for a failed script and for a malformed
+// payload inside a well-delimited frame, and the connection outliving both.
+func TestPipelinedWorkloadResponses(t *testing.T) {
+	const rows = 16
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("v%d", i)) }
+
+	type step struct {
+		frame []byte
+		check func(t *testing.T, r wireResponse)
+	}
+	okWith := func(n int) func(*testing.T, wireResponse) {
+		return func(t *testing.T, r wireResponse) {
+			if r.status != statusOK || r.msg != "" || len(r.results) != n {
+				t.Fatalf("status=%d msg=%q results=%d, want statusOK with %d results", r.status, r.msg, len(r.results), n)
+			}
+		}
+	}
+	pong := func(t *testing.T, r wireResponse) {
+		if r.status != statusOK || r.msg != "pong" || len(r.results) != 0 {
+			t.Fatalf("ping: status=%d msg=%q results=%d", r.status, r.msg, len(r.results))
+		}
+	}
+	scanIs := func(wantKeys []int, wantVals map[int]string) func(*testing.T, wireResponse) {
+		return func(t *testing.T, r wireResponse) {
+			okWith(1)(t, r)
+			res := r.results[0]
+			if len(res.Keys) != len(wantKeys) || len(res.Values) != len(wantKeys) {
+				t.Fatalf("scan returned %d keys / %d values, want %d", len(res.Keys), len(res.Values), len(wantKeys))
+			}
+			for j, i := range wantKeys {
+				want := string(val(i))
+				if v, ok := wantVals[i]; ok {
+					want = v
+				}
+				if !bytes.Equal(res.Keys[j], key(i)) || string(res.Values[j]) != want {
+					t.Fatalf("scan row %d = %q→%q, want %q→%q", j, res.Keys[j], res.Values[j], key(i), want)
+				}
+			}
+		}
 	}
 
-	legacy := run(-1, false)
-	eventLoop := run(0, false)
-	pump := run(0, true)
-	if !bytes.Equal(legacy, eventLoop) {
-		t.Fatal("event-loop front-end responses differ from the legacy reader")
+	steps := []step{
+		{[]byte{reqPing}, pong},
+		{[]byte{reqCreateTable, 2, 'k', 'v'}, okWith(0)},
 	}
-	if !bytes.Equal(legacy, pump) {
-		t.Fatal("pump front-end responses differ from the legacy reader")
+	for i := 0; i < rows; i++ {
+		steps = append(steps, step{
+			txnFrame(uint8(i%2), []ScriptOp{{Op: opInsert, Table: "kv", Key: key(i), Value: val(i)}}),
+			func(t *testing.T, r wireResponse) {
+				okWith(1)(t, r)
+				if res := r.results[0]; res.Status != statusOK || len(res.Value) != 0 || len(res.Keys) != 0 {
+					t.Fatalf("insert result %+v", res)
+				}
+			},
+		})
+	}
+	for i := 0; i < rows; i++ {
+		steps = append(steps, step{
+			txnFrame(0, []ScriptOp{{Op: opGet, Table: "kv", Key: key(i)}}),
+			func(t *testing.T, r wireResponse) {
+				okWith(1)(t, r)
+				if res := r.results[0]; res.Status != statusOK || !bytes.Equal(res.Value, val(i)) {
+					t.Fatalf("get %s = status %d value %q, want %q", key(i), res.Status, res.Value, val(i))
+				}
+			},
+		})
+	}
+	var afterDelete []int // every row but k001, ascending
+	for i := 0; i < rows; i++ {
+		if i != 1 {
+			afterDelete = append(afterDelete, i)
+		}
+	}
+	updated := map[int]string{0: "v0'"}
+	steps = append(steps,
+		// Multi-op script: update + read-your-write + delete + in-band miss.
+		step{txnFrame(1, []ScriptOp{
+			{Op: opUpdate, Table: "kv", Key: key(0), Value: []byte("v0'")},
+			{Op: opGet, Table: "kv", Key: key(0)},
+			{Op: opDelete, Table: "kv", Key: key(1)},
+			{Op: opGet, Table: "kv", Key: key(1)},
+		}), func(t *testing.T, r wireResponse) {
+			okWith(4)(t, r)
+			if r.results[0].Status != statusOK || r.results[2].Status != statusOK {
+				t.Fatalf("write op statuses %d, %d", r.results[0].Status, r.results[2].Status)
+			}
+			if r.results[1].Status != statusOK || string(r.results[1].Value) != "v0'" {
+				t.Fatalf("read-your-write = status %d value %q", r.results[1].Status, r.results[1].Value)
+			}
+			if r.results[3].Status != statusNotFound || len(r.results[3].Value) != 0 {
+				t.Fatalf("read of deleted row = status %d value %q, want in-band statusNotFound", r.results[3].Status, r.results[3].Value)
+			}
+		}},
+		// Scans: the whole table ascending, then descending with a limit.
+		step{txnFrame(0, []ScriptOp{{Op: opScan, Table: "kv"}}), scanIs(afterDelete, updated)},
+		step{txnFrame(0, []ScriptOp{{Op: opScanDesc, Table: "kv", Limit: 5}}), scanIs([]int{15, 14, 13, 12, 11}, nil)},
+		// A failed script is a typed status with a message and no results.
+		step{txnFrame(0, []ScriptOp{{Op: opInsert, Table: "kv", Key: key(2), Value: []byte("x")}}),
+			func(t *testing.T, r wireResponse) {
+				if r.status != statusDuplicate || r.msg == "" || len(r.results) != 0 {
+					t.Fatalf("duplicate insert: status=%d msg=%q results=%d", r.status, r.msg, len(r.results))
+				}
+			}},
+		step{txnFrame(0, []ScriptOp{{Op: opGet, Table: "nope", Key: []byte("k")}}),
+			func(t *testing.T, r wireResponse) {
+				if r.status != statusError || !strings.Contains(r.msg, "nope") || len(r.results) != 0 {
+					t.Fatalf("unknown table: status=%d msg=%q results=%d", r.status, r.msg, len(r.results))
+				}
+			}},
+		// Malformed payload inside a well-delimited frame: typed error, and
+		// the frames behind it are still answered.
+		step{[]byte{reqTxn, 0, 1, opGet, 0xFF}, func(t *testing.T, r wireResponse) {
+			if r.status != statusError || !strings.Contains(r.msg, ErrMalformed.Error()) || len(r.results) != 0 {
+				t.Fatalf("malformed payload: status=%d msg=%q results=%d", r.status, r.msg, len(r.results))
+			}
+		}},
+		step{txnFrame(0, []ScriptOp{{Op: opGet, Table: "kv", Key: key(2)}}),
+			func(t *testing.T, r wireResponse) {
+				okWith(1)(t, r)
+				if !bytes.Equal(r.results[0].Value, val(2)) {
+					t.Fatalf("row after failed duplicate insert = %q, want %q", r.results[0].Value, val(2))
+				}
+			}},
+		step{[]byte{reqPing}, pong},
+	)
+
+	_, addr := startEdgeServer(t, preemptdb.Config{}, nil)
+	conn := mustDialRaw(t, addr)
+	frames := make([][]byte, len(steps))
+	for i, st := range steps {
+		frames[i] = st.frame
+	}
+	for i, r := range pipeline(t, conn, frames, 0) {
+		t.Run(fmt.Sprintf("response%02d", i), func(t *testing.T) { steps[i].check(t, r) })
+	}
+}
+
+// TestDeliveryDoesNotChangeResponses: how the bytes arrive — everything in
+// one write, one byte per write, or in pieces that split headers and bodies
+// across reads — changes no response byte. The stream pipelines a Put and a
+// Get of a value larger than the read buffer behind small frames, so the
+// buffer has to grow for one frame while others are already parsed.
+func TestDeliveryDoesNotChangeResponses(t *testing.T) {
+	big := make([]byte, connBuf+5000)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	frames := [][]byte{
+		{reqCreateTable, 2, 'k', 'v'},
+		txnFrame(0, []ScriptOp{{Op: opPut, Table: "kv", Key: []byte("small"), Value: []byte("s")}}),
+		txnFrame(0, []ScriptOp{{Op: opPut, Table: "kv", Key: []byte("big"), Value: big}}),
+		txnFrame(1, []ScriptOp{{Op: opGet, Table: "kv", Key: []byte("big")}, {Op: opGet, Table: "kv", Key: []byte("small")}}),
+		{reqPing},
+	}
+	var want []wireResponse
+	for _, chunk := range []int{0, 1, 4093} {
+		_, addr := startEdgeServer(t, preemptdb.Config{}, nil)
+		got := pipeline(t, mustDialRaw(t, addr), frames, chunk)
+		if want == nil {
+			want = got
+			if res := got[3].results; got[3].status != statusOK || len(res) != 2 ||
+				!bytes.Equal(res[0].Value, big) || string(res[1].Value) != "s" {
+				t.Fatalf("one write: the large value did not round-trip (status %d, %d results)", got[3].status, len(res))
+			}
+			continue
+		}
+		for i := range want {
+			if !bytes.Equal(got[i].raw, want[i].raw) {
+				t.Fatalf("writes of %d bytes: response %d differs from the one-write response (status %d vs %d, %d vs %d bytes)",
+					chunk, i, got[i].status, want[i].status, len(got[i].raw), len(want[i].raw))
+			}
+		}
+	}
+}
+
+// TestPeerThatNeverReadsIsClosedWithBoundedMemory: a client that pipelines
+// requests and never reads a response fills the socket buffers; the server's
+// write then times out and the connection closes. Until then the responses
+// it could not send must not have accumulated in the connection's buffer.
+func TestPeerThatNeverReadsIsClosedWithBoundedMemory(t *testing.T) {
+	srv, addr := startEdgeServer(t, preemptdb.Config{}, func(s *Server) {
+		s.WriteTimeout = 300 * time.Millisecond
+	})
+	srv.db.CreateTable("kv")
+	row := make([]byte, 32<<10)
+	if err := srv.db.Run(func(tx *preemptdb.Txn) error { return tx.Put("kv", []byte("row"), row) }); err != nil {
+		t.Fatal(err)
+	}
+	nc := mustDialRaw(t, addr)
+	var victim *conn
+	waitFor(t, "the server to register the connection", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for c := range srv.open {
+			victim = c
+		}
+		return victim != nil
+	})
+
+	// One read's worth of these 20-byte requests asks for ~100 MiB of
+	// responses. Keep sending until the server stops taking them.
+	var batch bytes.Buffer
+	for i := 0; i < 4096; i++ {
+		writeFrame(&batch, txnFrame(0, []ScriptOp{{Op: opGet, Table: "kv", Key: []byte("row")}}))
+	}
+	go func() {
+		nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
+		for {
+			if _, err := nc.Write(batch.Bytes()); err != nil {
+				return
+			}
+		}
+	}()
+
+	// conn.close removes the connection under srv.mu after its goroutine's
+	// last use of the buffer, so the read below is ordered after it.
+	waitFor(t, "WriteTimeout to close the connection", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		_, open := srv.open[victim]
+		return !open
+	})
+	if c := cap(victim.wbuf); c > 4*connBuf {
+		t.Fatalf("response buffer grew to %d bytes behind a peer that never read (bound %d)", c, 4*connBuf)
+	}
+	if open := srv.db.Stats().ConnsOpen; open != 0 {
+		t.Fatalf("ConnsOpen = %d after the close", open)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 30 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
 // TestFastPathCachedGetOverWire: with the hot-key cache enabled, a repeated
-// single-Get on an idle connection is served from the inline fast path with
-// a byte-identical response, and the hit registers in Stats.
+// single-Get is served from the cache with a byte-identical response, and
+// the hit registers in Stats.
 func TestFastPathCachedGetOverWire(t *testing.T) {
 	srv, addr := startEdgeServer(t, preemptdb.Config{CacheBytes: 1 << 20}, nil)
 	srv.db.CreateTable("kv")
@@ -263,7 +483,7 @@ func TestFastPathCachedGetOverWire(t *testing.T) {
 	}
 	first := append([]byte(nil), readResp()...) // fills the cache via the engine
 	hitsBefore := srv.db.Stats().CacheHits
-	second := readResp() // served by the inline fast path
+	second := readResp() // served from the cache
 	if !bytes.Equal(first, second) {
 		t.Fatalf("fast-path response differs:\n  engine: %x\n  cache:  %x", first, second)
 	}
@@ -292,11 +512,11 @@ func TestFastPathCachedGetOverWire(t *testing.T) {
 	}
 }
 
-// TestPumpFrontendServesPipelinedBatches covers the portable reader end to
-// end (classification, batching, one-flush responses) since CI runs Linux
-// and would otherwise only exercise the epoll loop.
-func TestPumpFrontendServesPipelinedBatches(t *testing.T) {
-	_, addr := startEdgeServer(t, preemptdb.Config{}, func(s *Server) { s.noPoller = true })
+// TestPipelinedBatchThenEOF: a batch whose first frame creates the table the
+// rest write to is classified, executed in order and answered completely, and
+// the client closing its side afterwards does not wedge the server.
+func TestPipelinedBatchThenEOF(t *testing.T) {
+	_, addr := startEdgeServer(t, preemptdb.Config{}, nil)
 	conn := mustDialRaw(t, addr)
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 	var batch bytes.Buffer
@@ -323,10 +543,10 @@ func TestPumpFrontendServesPipelinedBatches(t *testing.T) {
 	conn.Close()
 }
 
-// TestEventLoopIdleSweepSkipsBusyConns: a connection waiting on a slow
-// transaction is not a victim of the idle sweep even when no bytes arrive
-// for longer than the timeout.
-func TestEventLoopIdleSweepSkipsBusyConns(t *testing.T) {
+// TestIdleTimeoutSkipsBusyConns: a connection whose requests are still
+// executing is not idle, even when it delivers no bytes for longer than the
+// timeout; once it has nothing in flight the timeout reclaims it.
+func TestIdleTimeoutSkipsBusyConns(t *testing.T) {
 	srv, addr := startEdgeServer(t, preemptdb.Config{}, func(s *Server) {
 		s.IdleTimeout = 150 * time.Millisecond
 	})
@@ -334,7 +554,7 @@ func TestEventLoopIdleSweepSkipsBusyConns(t *testing.T) {
 	conn := mustDialRaw(t, addr)
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 
-	// A batch big enough to keep the worker busy past the idle timeout.
+	// A batch big enough to keep the connection executing past the idle timeout.
 	var batch bytes.Buffer
 	const K = 64
 	var val [4096]byte
@@ -350,20 +570,20 @@ func TestEventLoopIdleSweepSkipsBusyConns(t *testing.T) {
 	for i := 0; i < K; i++ {
 		resp, err := readFrame(conn)
 		if err != nil {
-			t.Fatalf("response %d: %v (idle sweep closed a busy conn?)", i, err)
+			t.Fatalf("response %d: %v (idle timeout closed a busy conn?)", i, err)
 		}
 		if status, _, _, err := decodeResults(resp); err != nil || status != statusOK {
 			t.Fatalf("response %d: status=%d err=%v", i, status, err)
 		}
 		time.Sleep(2 * time.Millisecond) // stretch the quiet period while work is in flight
 	}
-	// Once genuinely idle, the sweep must reclaim the connection.
+	// Once genuinely idle, the timeout must reclaim the connection.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := readFrame(conn); err == nil {
-		t.Fatal("idle connection survived the sweep")
+		t.Fatal("idle connection survived the timeout")
 	} else if err != io.EOF {
 		if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
-			t.Fatal("idle connection not closed by the sweep")
+			t.Fatal("idle connection not closed by the timeout")
 		}
 	}
 }

@@ -221,15 +221,13 @@ func encodeScriptTrace(b []byte, priority uint8, traceID, traceTimeoutMicros uin
 	return appendScriptBody(b, priority, ops)
 }
 
+// decodeScript decodes a script body. It first takes its one private copy
+// of the body — the payload it is handed aliases a connection's read buffer,
+// and the engine keeps what a script writes past the next read
+// (engine.Txn.Put retains the value slice, the index a new key) — and every
+// key and value of the decoded ops then aliases that copy.
 func decodeScript(r *reader) (priority uint8, ops []ScriptOp, err error) {
-	return decodeScriptMode(r, true)
-}
-
-// decodeScriptMode decodes a script body. With copyData, keys and values are
-// copied out of the payload (safe regardless of buffer reuse); without it
-// they alias the payload — the front-end's zero-copy mode, valid because
-// batch frames are escape-copied exactly once at read time and never reused.
-func decodeScriptMode(r *reader, copyData bool) (priority uint8, ops []ScriptOp, err error) {
+	r.b = append([]byte(nil), r.b...)
 	if priority, err = r.u8(); err != nil {
 		return 0, nil, err
 	}
@@ -252,18 +250,11 @@ func decodeScriptMode(r *reader, copyData bool) (priority uint8, ops []ScriptOp,
 		if op.Index, err = r.str(); err != nil {
 			return 0, nil, err
 		}
-		var kb, vb []byte
-		if kb, err = r.bytes(); err != nil {
+		if op.Key, err = r.bytes(); err != nil {
 			return 0, nil, err
 		}
-		if vb, err = r.bytes(); err != nil {
+		if op.Value, err = r.bytes(); err != nil {
 			return 0, nil, err
-		}
-		if copyData {
-			op.Key = append([]byte(nil), kb...)
-			op.Value = append([]byte(nil), vb...)
-		} else {
-			op.Key, op.Value = kb, vb
 		}
 		lim, err := r.uvarint()
 		if err != nil {

@@ -1,16 +1,17 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"preemptdb"
+	"preemptdb/internal/metrics"
 )
 
 // Server serves the PreemptDB wire protocol on a listener, executing each
@@ -19,16 +20,17 @@ type Server struct {
 	db  *preemptdb.DB
 	lis net.Listener
 
-	// fe is the sharded connection front-end (event loops, per-class edge
-	// admission, zero-copy framing). Nil when Config.ConnShards < 0, which
-	// selects the legacy goroutine-per-connection handler.
-	fe *frontend
-	// noPoller forces the portable read-pump path even where an OS event
-	// loop is available; tests use it to cover both readiness mechanisms.
-	noPoller bool
+	reg *metrics.Registry // the DB's front-end registry (conns shed/open)
+
+	// Edge admission: per-class accounting and limits (index classLo/classHi;
+	// limit 0 = unlimited), shared by every connection.
+	conns         [2]atomic.Int64
+	inflight      [2]atomic.Int64
+	connLimit     [2]int64
+	inflightLimit [2]int64
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	open   map[*conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 
@@ -41,24 +43,25 @@ type Server struct {
 	// wedge a connection.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each response write (default 30s; negative
-	// disables). A peer that stops reading cannot pin a handler goroutine.
+	// disables). A peer that stops reading cannot pin its connection's
+	// goroutine or make responses pile up in server memory.
 	WriteTimeout time.Duration
 }
 
 // New wraps db in a network server; call Serve with a listener. Adjust
 // IdleTimeout/WriteTimeout before the first connection arrives.
 func New(db *preemptdb.DB) *Server {
-	s := &Server{
-		db:           db,
-		conns:        make(map[net.Conn]struct{}),
-		Logf:         log.Printf,
-		IdleTimeout:  2 * time.Minute,
-		WriteTimeout: 30 * time.Second,
+	cfg := db.Config()
+	return &Server{
+		db:            db,
+		reg:           db.FrontendRegistry(),
+		connLimit:     [2]int64{classLo: int64(cfg.LoConnLimit), classHi: int64(cfg.HiConnLimit)},
+		inflightLimit: [2]int64{classLo: int64(cfg.LoInFlightLimit), classHi: int64(cfg.HiInFlightLimit)},
+		open:          make(map[*conn]struct{}),
+		Logf:          log.Printf,
+		IdleTimeout:   2 * time.Minute,
+		WriteTimeout:  30 * time.Second,
 	}
-	if cfg := db.Config(); cfg.ConnShards >= 0 {
-		s.fe = newFrontend(s, cfg.ConnShards)
-	}
-	return s
 }
 
 // Listen starts serving on addr (e.g. "127.0.0.1:0") in a background
@@ -69,9 +72,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		return nil, err
 	}
 	s.lis = lis
-	if s.fe != nil {
-		s.fe.start()
-	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -82,27 +82,22 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 
 func (s *Server) serve(lis net.Listener) {
 	for {
-		conn, err := lis.Accept()
+		nc, err := lis.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		c := &conn{s: s, nc: nc, class: classNone}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		s.open[c] = struct{}{}
 		s.mu.Unlock()
-		if s.fe != nil {
-			s.fe.adopt(conn)
-			continue
-		}
+		s.reg.AddConnsOpen(1)
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
+		go c.serve()
 	}
 }
 
@@ -114,86 +109,23 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	for c := range s.conns {
-		c.Close()
+	for c := range s.open {
+		c.nc.Close() // its goroutine's Read or Write fails and it exits
 	}
 	s.mu.Unlock()
 	var err error
 	if s.lis != nil {
 		err = s.lis.Close()
 	}
-	if s.fe != nil {
-		s.fe.shutdown()
-	}
 	s.wg.Wait()
 	return err
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	// Buffered frame I/O plus a per-connection response scratch: a client
-	// that pipelines K requests has its K responses accumulated in the write
-	// buffer and flushed together once the read buffer drains — one write
-	// syscall per batch instead of two per frame, and zero response
-	// allocations once the scratch has grown to the working-set size.
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var scratch []byte
-	for {
-		if s.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-		}
-		frame, err := readFrame(br)
-		if err != nil {
-			// EOF, broken pipe, idle/truncated-frame timeout, or an
-			// oversized length prefix: the byte stream is gone or no longer
-			// trustworthy, so the connection cannot be kept.
-			return
-		}
-		resp, err := s.dispatch(scratch[:0], frame)
-		if err != nil {
-			// Malformed payload inside a well-delimited frame: frame
-			// boundaries are still in sync, so answer with a typed error
-			// frame and keep serving the connection.
-			resp = encodeResults(scratch[:0], statusError, err.Error(), nil)
-		}
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		if err := writeFrame(bw, resp); err != nil {
-			return
-		}
-		scratch = resp // keep the grown backing array for the next response
-		// Flush only when no further complete request is already buffered:
-		// mid-batch, the next response piggybacks on the same flush. (A
-		// peer that stalls mid-frame holds its own earlier responses back,
-		// but that is the pathological half-pipelined client, and
-		// IdleTimeout still bounds it.)
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
 // dispatch parses and executes one request frame, appending the response
-// payload to b (the connection's reusable scratch). A returned error means
-// the frame was malformed.
+// payload to b. A returned error means the frame was malformed; nothing has
+// been appended then. frame may alias a buffer that is reused once dispatch
+// returns.
 func (s *Server) dispatch(b, frame []byte) ([]byte, error) {
-	return s.dispatchMode(b, frame, false)
-}
-
-// dispatchMode is dispatch with an explicit decode mode. zeroCopy decodes
-// script keys/values as subslices of frame — valid only when frame is
-// immortal (the front-end's escape-copied batch frames), because the MVCC
-// layer retains write values. The response bytes are identical either way.
-func (s *Server) dispatchMode(b, frame []byte, zeroCopy bool) ([]byte, error) {
 	r := &reader{frame}
 	kind, err := r.u8()
 	if err != nil {
@@ -241,22 +173,22 @@ func (s *Server) dispatchMode(b, frame []byte, zeroCopy bool) ([]byte, error) {
 		return encodeResults(b, statusOK, msg, nil), nil
 
 	case reqTxn:
-		prio, ops, err := decodeScriptMode(r, !zeroCopy)
+		prio, ops, err := decodeScript(r)
 		if err != nil {
 			return nil, err
 		}
-		return s.runScript(b, prio, ops, 0), nil
+		return s.runScript(b, prio, ops, 0, 0, 0), nil
 
 	case reqTxnDeadline:
 		micros, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		prio, ops, err := decodeScriptMode(r, !zeroCopy)
+		prio, ops, err := decodeScript(r)
 		if err != nil {
 			return nil, err
 		}
-		return s.runScript(b, prio, ops, time.Duration(micros)*time.Microsecond), nil
+		return s.runScript(b, prio, ops, time.Duration(micros)*time.Microsecond, 0, 0), nil
 
 	case reqTxnTrace:
 		traceID, err := r.uvarint()
@@ -267,11 +199,15 @@ func (s *Server) dispatchMode(b, frame []byte, zeroCopy bool) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		prio, ops, err := decodeScriptMode(r, !zeroCopy)
+		prio, ops, err := decodeScript(r)
 		if err != nil {
 			return nil, err
 		}
-		return s.runTracedScript(b, prio, ops, traceID, time.Duration(micros)*time.Microsecond), nil
+		wait := time.Duration(micros) * time.Microsecond
+		if wait <= 0 {
+			wait = 50 * time.Millisecond
+		}
+		return s.runScript(b, prio, ops, 0, traceID, wait), nil
 
 	default:
 		return nil, fmt.Errorf("%w: unknown request %d", ErrMalformed, kind)
@@ -283,41 +219,28 @@ func (s *Server) dispatchMode(b, frame []byte, zeroCopy bool) ([]byte, error) {
 // transaction's deadline. Per-op read misses are reported in-band
 // (statusNotFound) without aborting; write errors abort the whole script.
 // The response is appended to b.
-func (s *Server) runScript(b []byte, prio uint8, ops []ScriptOp, timeout time.Duration) []byte {
+//
+// A traced script has traceWait > 0: it runs under traceID (0 = the database
+// assigns one) and, on success, the response message carries the
+// transaction's merged cross-shard Chrome trace export. traceWait bounds how
+// long the exporter polls for the transaction's events to land in the trace
+// rings; an empty message on a statusOK response means tracing is disabled or
+// the ring wrapped past the transaction before export.
+func (s *Server) runScript(b []byte, prio uint8, ops []ScriptOp, timeout time.Duration, traceID uint64, traceWait time.Duration) []byte {
 	priority := preemptdb.Low
 	if prio > 0 {
 		priority = preemptdb.High
 	}
 	results := make([]OpResult, len(ops))
-	err := s.db.ExecOpts(preemptdb.TxnOptions{Priority: priority, Timeout: timeout}, scriptFn(ops, results))
-	return scriptResults(b, err, results)
-}
-
-// runTracedScript executes a script under an explicit trace id (0 = server
-// assigns one) and, on success, ships the transaction's merged cross-shard
-// Chrome trace export back in the response message. wait bounds how long the
-// exporter polls for the transaction's events to land in the trace rings; an
-// empty message on a statusOK response means tracing is disabled or the ring
-// wrapped past the transaction before export.
-func (s *Server) runTracedScript(b []byte, prio uint8, ops []ScriptOp, traceID uint64, wait time.Duration) []byte {
-	priority := preemptdb.Low
-	if prio > 0 {
-		priority = preemptdb.High
-	}
-	results := make([]OpResult, len(ops))
-	pending, err := s.db.SubmitOpts(preemptdb.TxnOptions{Priority: priority, TraceID: traceID},
+	pending, err := s.db.SubmitOpts(preemptdb.TxnOptions{Priority: priority, Timeout: timeout, TraceID: traceID},
 		scriptFn(ops, results))
 	if err == nil {
-		traceID = pending.TraceID()
 		err = pending.Wait()
 	}
-	if err != nil {
+	if err != nil || traceWait <= 0 {
 		return scriptResults(b, err, results)
 	}
-	if wait <= 0 {
-		wait = 50 * time.Millisecond
-	}
-	trace, terr := s.db.TraceTxnWait(traceID, wait)
+	trace, terr := s.db.TraceTxnWait(pending.TraceID(), traceWait)
 	if terr != nil {
 		trace = nil
 	}

@@ -222,6 +222,52 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestConcurrentLowPriorityClientsLoseNoReply: Client.Get/Put run at Low, so
+// every connection's goroutine submits into the workers' low-priority queues
+// at once — one worker here, so all eight share one queue. Every request must
+// be answered; a reply lost in the queue shows as a read deadline expiring.
+func TestConcurrentLowPriorityClientsLoseNoReply(t *testing.T) {
+	c0, srv := startServer(t, preemptdb.Config{Workers: 1})
+	if err := c0.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.lis.Addr().String()
+
+	const clients, perClient = 8, 300
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			cl, err := Dial(addr)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer cl.Close()
+			cl.conn.SetDeadline(time.Now().Add(60 * time.Second))
+			for j := 0; j < perClient; j++ {
+				key := []byte(fmt.Sprintf("c%d-%d", id, j%16))
+				val := []byte(fmt.Sprintf("%d", j))
+				if err := cl.Put("kv", key, val); err != nil {
+					errs <- fmt.Errorf("client %d put %d: %w", id, j, err)
+					return
+				}
+				if got, err := cl.Get("kv", key); err != nil || !bytes.Equal(got, val) {
+					errs <- fmt.Errorf("client %d get %d: %q, %v (want %q)", id, j, got, err, val)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestMalformedFrameDropsConnection(t *testing.T) {
 	_, srv := startServer(t, preemptdb.Config{})
 	conn, err := net.Dial("tcp", srv.lis.Addr().String())

@@ -190,7 +190,8 @@ func (t *Txn) abortParts() {
 // single-shard commit (the common case for hash-routed point transactions),
 // and several writers run two-phase commit under a fresh gid.
 func (t *Txn) commitParts() error {
-	var writers []int
+	var buf [8]int // keeps writers off the heap at ordinary shard counts
+	writers := buf[:0]
 	for si, p := range t.parts {
 		if p == nil {
 			continue
@@ -277,18 +278,7 @@ func (c *scanCursor) refill() error {
 		c.vals = append(c.vals, append([]byte(nil), v...))
 		return true
 	}
-	var err error
-	switch {
-	case c.desc && c.index == "":
-		err = c.txn.ScanDesc(c.tab, c.fixed, c.next, collect)
-	case c.desc:
-		err = c.txn.ScanIndexDesc(c.tab, c.index, c.fixed, c.next, collect)
-	case c.index == "":
-		err = c.txn.Scan(c.tab, c.next, c.fixed, collect)
-	default:
-		err = c.txn.ScanIndex(c.tab, c.index, c.next, c.fixed, collect)
-	}
-	if err != nil {
+	if err := c.scanRest(collect); err != nil {
 		return err
 	}
 	if !stopped {
@@ -311,9 +301,40 @@ func (c *scanCursor) refill() error {
 	return nil
 }
 
-// mergeScan runs a cross-shard range scan by k-way merging per-shard batched
-// cursors into one global order (ascending or descending; primary-key or
-// index-key). fn's contract matches the single-shard scans; rows that share
+// scanRest runs the cursor's kind of scan over what is left of its range, on
+// its shard.
+func (c *scanCursor) scanRest(fn func(key, value []byte) bool) error {
+	switch {
+	case c.desc && c.index == "":
+		return c.txn.ScanDesc(c.tab, c.fixed, c.next, fn)
+	case c.desc:
+		return c.txn.ScanIndexDesc(c.tab, c.index, c.fixed, c.next, fn)
+	case c.index == "":
+		return c.txn.Scan(c.tab, c.next, c.fixed, fn)
+	default:
+		return c.txn.ScanIndex(c.tab, c.index, c.next, c.fixed, fn)
+	}
+}
+
+// stream hands fn the cursor's buffered rows and then the rest of its range
+// straight from the shard's scan, uncopied and unbatched: what a cursor with
+// nothing left to merge against does — the other shards ran dry, or there is
+// only one shard.
+func (c *scanCursor) stream(fn func(key, value []byte) bool) error {
+	for ; c.pos < len(c.keys); c.pos++ {
+		if !fn(c.keys[c.pos], c.vals[c.pos]) {
+			return nil
+		}
+	}
+	if c.exhausted {
+		return nil
+	}
+	return c.scanRest(fn)
+}
+
+// mergeScan runs a range scan over every shard by k-way merging per-shard
+// batched cursors into one global order (ascending or descending; primary-key
+// or index-key). fn's contract matches the engine's scans; rows that share
 // an index key may interleave across shards in arbitrary order.
 func (t *Txn) mergeScan(table, index string, from, to []byte, desc bool, fn func(key, value []byte) bool) error {
 	cursors := make([]*scanCursor, 0, len(t.db.shards))
@@ -332,14 +353,20 @@ func (t *Txn) mergeScan(table, index string, from, to []byte, desc bool, fn func
 		} else {
 			c.next, c.fixed = from, to
 		}
-		if err := c.refill(); err != nil {
+		cursors = append(cursors, c)
+	}
+	// A cursor needs a batch only while there is another to merge it with.
+	for i := 0; i < len(cursors) && len(cursors) > 1; {
+		if err := cursors[i].refill(); err != nil {
 			return err
 		}
-		if len(c.keys) > 0 {
-			cursors = append(cursors, c)
+		if len(cursors[i].keys) == 0 {
+			cursors = append(cursors[:i], cursors[i+1:]...)
+		} else {
+			i++
 		}
 	}
-	for len(cursors) > 0 {
+	for len(cursors) > 1 {
 		best := 0
 		for i := 1; i < len(cursors); i++ {
 			cmp := bytes.Compare(cursors[i].keys[cursors[i].pos], cursors[best].keys[cursors[best].pos])
@@ -362,5 +389,5 @@ func (t *Txn) mergeScan(table, index string, from, to []byte, desc bool, fn func
 			}
 		}
 	}
-	return nil
+	return cursors[0].stream(fn)
 }

@@ -83,9 +83,18 @@ func TestShardRoutingAndPointOps(t *testing.T) {
 	}
 }
 
+// TestShardScanMergesGlobalOrder runs at one shard too (the lone cursor
+// streams without batching) and with enough rows per shard that cursors
+// refill and the last one left streams the tail of its range.
 func TestShardScanMergesGlobalOrder(t *testing.T) {
-	db := openShardedMem(t, 3)
-	const n = 300
+	for _, shards := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testShardScanMergesGlobalOrder(t, shards) })
+	}
+}
+
+func testShardScanMergesGlobalOrder(t *testing.T, shards int) {
+	db := openShardedMem(t, shards)
+	const n = 1000
 	for i := 0; i < n; i++ {
 		k := shardKey(t, db, i)
 		if err := db.Run(func(tx *Txn) error { return tx.Insert("kv", k, k) }); err != nil {
@@ -125,6 +134,8 @@ func TestShardScanMergesGlobalOrder(t *testing.T) {
 	check(true, nil, nil, n-1, n)
 	check(false, shardKey(t, db, 10), shardKey(t, db, 20), 10, 10)
 	check(true, shardKey(t, db, 10), shardKey(t, db, 20), 19, 10)
+	check(false, shardKey(t, db, 100), shardKey(t, db, 900), 100, 800)
+	check(true, shardKey(t, db, 100), shardKey(t, db, 900), 899, 800)
 }
 
 func TestShardScanIndexMerge(t *testing.T) {
