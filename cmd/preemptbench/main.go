@@ -10,10 +10,9 @@
 // Run -experiment help (or any unknown name) for the experiment list; it is
 // generated from the same registry that drives dispatch, so the help text,
 // the dispatch switch, and the "all" sequence cannot drift apart.
-// parallelscan, shardbench, and interleave also write their results to
-// -scanout (BENCH_scan.json), -shardout (BENCH_shard.json), and
-// -interleaveout (BENCH_interleave.json) in the same envelope as
-// BENCH_commit.json.
+// parallelscan and interleave also write their results to -scanout
+// (BENCH_scan.json) and -interleaveout (BENCH_interleave.json) in the same
+// envelope as BENCH_commit.json.
 package main
 
 import (
@@ -28,14 +27,10 @@ import (
 
 // flags shared by the experiment runners (parsed once in main).
 type flags struct {
-	duration         time.Duration
-	scanout          string
-	shardout         string
-	interleaveout    string
-	frontendout      string
-	traceout         string
-	traceoverheadout string
-	tracetxnout      string
+	duration      time.Duration
+	scanout       string
+	interleaveout string
+	traceout      string
 }
 
 // experiment is one registry entry: the -experiment id, a one-line help
@@ -95,21 +90,6 @@ var experiments = []experiment{
 			}
 			return bench.WriteScanJSON(fl.scanout, cmd, res, notes)
 		}},
-	{"shardbench", "hash-sharded scaling and 2PC cross-shard sweep; writes -shardout", true,
-		func(opt bench.Options, fl flags) error {
-			res, err := bench.ShardBench(opt)
-			if err != nil || fl.shardout == "" {
-				return err
-			}
-			cmd := fmt.Sprintf("preemptbench -experiment shardbench -duration %v", fl.duration)
-			notes := []string{
-				fmt.Sprintf("Host exposes %d CPU(s); per-shard scheduler cores are goroutines, so throughput scaling with shard count requires spare physical CPUs — on a single-CPU host all shards timeshare one core and the scaling curve is expected to be flat (the per-shard isolation and 2PC overhead shapes, not absolute scaling, are the reproduction target).", res.NumCPU),
-				"scaling: closed-loop single-shard read-modify-write txns, hash-routed; zero cross-shard coordination on this path.",
-				"cross_sweep_4_shards: the listed percentage of txns touch two keys on different shards and commit via prepare frames + a coordinator decision record on the existing group-commit WAL (2PC, presumed abort).",
-				"hi_per_shard_4_shards: end-to-end latency of high-priority point reads routed to each shard under PolicyPreempt while low-priority load runs on all shards — per-shard preemption isolation.",
-			}
-			return bench.WriteBenchJSON(fl.shardout, cmd, res, notes)
-		}},
 	{"interleave", "K-way context multiplexing sweep (K=2/4/8); writes -interleaveout", true,
 		func(opt bench.Options, fl flags) error {
 			res, err := bench.Interleave(opt)
@@ -122,50 +102,6 @@ var experiments = []experiment{
 				"Each point: mixed TP/AP load under PolicyPreempt — low-priority Q2 batch work filling K-1 slots per core, batched high-priority NewOrder/Payment arrivals preempting via the distinct preemptive context.",
 			}
 			return bench.WriteInterleaveJSON(fl.interleaveout, cmd, res, notes)
-		}},
-	{"traceoverhead", "commit-path cost of txn tracing off/sampled/always; writes -traceoverheadout", true,
-		func(opt bench.Options, fl flags) error {
-			res, err := bench.TraceOverhead(opt)
-			if err != nil {
-				return err
-			}
-			if fl.tracetxnout != "" {
-				trace, err := bench.CrossShardTraceExport()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(fl.tracetxnout, trace, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("wrote merged cross-shard txn trace to %s (open in ui.perfetto.dev)\n", fl.tracetxnout)
-			}
-			if fl.traceoverheadout == "" {
-				return nil
-			}
-			cmd := fmt.Sprintf("preemptbench -experiment traceoverhead -duration %v", fl.duration)
-			notes := []string{
-				fmt.Sprintf("Host exposes %d CPU(s); absolute latencies track the host — the reproduction target is the sampled row's overhead_pct staying within the paper's ~5%% observability budget of the off row.", res.NumCPU),
-				"Modes: off = trace rings and span recording disabled (TraceCapacity/TraceSampling -1); sampled = shipping default (rings on, WAL-wait spans on the 1-in-32 commit probe); always = every span recorded (TraceSampling 1).",
-				"Each point is the BenchmarkCommitSI engine loop run on a live core with a trace ring attached; the three modes' windows interleave round-robin and each keeps its lowest-mean window, so host-load drift cancels instead of landing on one mode.",
-				"Run-to-run variance on this host is roughly +/-5%: the sampled row lands on either side of zero across runs, i.e. the default 1-in-32 probe is indistinguishable from tracing off at the noise floor, while always-on tracing measures a consistent double-digit penalty.",
-				"allocs_per_txn is a whole-process runtime.MemStats Mallocs delta over committed txns; ~0 confirms the pooled commit path stays allocation-free with tracing enabled (the engine's 0 allocs/op guarantee is enforced separately by TestCommitAllocsWithMetrics).",
-				"-tracetxn additionally exports one cross-shard 2PC transaction's merged Chrome trace (DB.TraceTxn) for cmd/validatetrace.",
-			}
-			return bench.WriteBenchJSON(fl.traceoverheadout, cmd, res, notes)
-		}},
-	{"frontend", "network front-end: hot-key cache A/B and edge-admission flood; writes -frontendout", true,
-		func(opt bench.Options, fl flags) error {
-			res, err := bench.Frontend(opt)
-			if err != nil || fl.frontendout == "" {
-				return err
-			}
-			cmd := fmt.Sprintf("preemptbench -experiment frontend -duration %v", fl.duration)
-			notes := []string{
-				fmt.Sprintf("Host exposes %d CPU(s); both phases are closed-loop over loopback TCP, so absolute throughput/latency track the host — the reproduction targets are the shapes: cache hit rate >=80%% on the Zipf(0.99) read workload, cached reads faster than uncached, and high-priority p99 no worse with edge admission on than off under the low-priority flood.", res.NumCPU),
-				"cache_sweep: single-key Gets over the wire, Zipfian keys; cache=true serves hits from the front-end's read-through cache without entering a scheduler core (hit_rate from DB cache counters).",
-				"admission_flood: paced high-priority point reads sharing the server with a closed-loop low-priority RMW flood; admission=true bounds low-priority in-flight requests at the edge (LoInFlightLimit) and sheds with typed statusQueueFull frames (lo_shed counts client-observed sheds, conns_shed the server counter).",
-			}
-			return bench.WriteBenchJSON(fl.frontendout, cmd, res, notes)
 		}},
 }
 
@@ -192,17 +128,13 @@ func usage(w *os.File) {
 
 func main() {
 	var (
-		experimentFlag   = flag.String("experiment", "all", "which experiment to run ("+experimentIDs()+")")
-		duration         = flag.Duration("duration", 3*time.Second, "measurement window per data point")
-		workers          = flag.Int("workers", 0, "simulated worker cores (0 = one per spare physical CPU)")
-		arrival          = flag.Duration("arrival", time.Millisecond, "high-priority batch arrival interval")
-		scanout          = flag.String("scanout", "BENCH_scan.json", "output path for the parallelscan experiment's JSON ('' disables)")
-		shardout         = flag.String("shardout", "BENCH_shard.json", "output path for the shardbench experiment's JSON ('' disables)")
-		interleaveout    = flag.String("interleaveout", "BENCH_interleave.json", "output path for the interleave experiment's JSON ('' disables)")
-		frontendout      = flag.String("frontendout", "BENCH_frontend.json", "output path for the frontend experiment's JSON ('' disables)")
-		traceout         = flag.String("trace", "", "write the trace experiment's scheduling events as Chrome trace-event JSON (perfetto-loadable) to this path")
-		traceoverheadout = flag.String("traceoverheadout", "BENCH_trace.json", "output path for the traceoverhead experiment's JSON ('' disables)")
-		tracetxnout      = flag.String("tracetxn", "", "write one cross-shard txn's merged Chrome trace (traceoverhead experiment) to this path")
+		experimentFlag = flag.String("experiment", "all", "which experiment to run ("+experimentIDs()+")")
+		duration       = flag.Duration("duration", 3*time.Second, "measurement window per data point")
+		workers        = flag.Int("workers", 0, "simulated worker cores (0 = one per spare physical CPU)")
+		arrival        = flag.Duration("arrival", time.Millisecond, "high-priority batch arrival interval")
+		scanout        = flag.String("scanout", "BENCH_scan.json", "output path for the parallelscan experiment's JSON ('' disables)")
+		interleaveout  = flag.String("interleaveout", "BENCH_interleave.json", "output path for the interleave experiment's JSON ('' disables)")
+		traceout       = flag.String("trace", "", "write the trace experiment's scheduling events as Chrome trace-event JSON (perfetto-loadable) to this path")
 	)
 	flag.Parse()
 
@@ -213,14 +145,10 @@ func main() {
 		Out:             os.Stdout,
 	}
 	fl := flags{
-		duration:         *duration,
-		scanout:          *scanout,
-		shardout:         *shardout,
-		interleaveout:    *interleaveout,
-		frontendout:      *frontendout,
-		traceout:         *traceout,
-		traceoverheadout: *traceoverheadout,
-		tracetxnout:      *tracetxnout,
+		duration:      *duration,
+		scanout:       *scanout,
+		interleaveout: *interleaveout,
+		traceout:      *traceout,
 	}
 
 	byID := make(map[string]experiment, len(experiments))

@@ -305,6 +305,5 @@ func (e *Engine) finishMorselReader(t *Txn) {
 	t.done = true
 	t.readonly = false
 	t.inner.Abort()
-	t.inner.Release()
-	t.releaseGuest()
+	t.release()
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"preemptdb/internal/clock"
-	"preemptdb/internal/metrics"
 	"preemptdb/internal/mvcc"
 	"preemptdb/internal/pcontext"
 )
@@ -16,12 +15,12 @@ import (
 // invisible to readers, blocking conflicting writers — until resolution.
 
 // PrepareCommit runs the first phase of a cross-shard commit on this
-// participant: validation, staging the redo as a prepare frame under gid,
-// and waiting for the frame's batch I/O. On success the transaction remains
-// open and held; finish it with exactly one of ResolveCommit or
-// ResolveAbort. On any failure the transaction is fully aborted (nothing was
-// published) and the error returned — conflict errors satisfy IsConflict as
-// usual.
+// participant (finish's prepare step): validation, staging the redo as a
+// prepare frame under gid, and waiting for the frame's batch I/O. On success
+// the transaction remains open and held; finish it with exactly one of
+// ResolveCommit or ResolveAbort. On any failure the transaction is fully
+// aborted (nothing was published) and the error returned — conflict errors
+// satisfy IsConflict as usual.
 func (t *Txn) PrepareCommit(gid uint64) error {
 	t0 := clock.Nanos()
 	if t.readonly {
@@ -41,104 +40,18 @@ func (t *Txn) PrepareCommit(gid uint64) error {
 	// must never land past the prepare frame, or a concurrent disk
 	// checkpoint could truncate the in-doubt redo's only durable copy.
 	t.eng.registerPrepare(gid)
-	t.staged, t.leader = false, false
-	// Same 1-in-2^walSampleShift WAL-wait probe as Commit: the prepare frame
-	// rides the ordinary group-commit pipeline, so its batch wait belongs in
-	// the same PhaseWALWait distribution and trace span.
-	t.walTick++
-	sampled := t.walTick&walSampleMask == 0 || t.eng.traceAll
-	var walNs int64
-	var mvccErr, ioErr error
-	stage := func(cts uint64) error {
-		if t.logBuf.Len() == 0 {
-			return nil // read-only participant: validation only
-		}
-		leader, err := t.eng.log.StagePrepare(gid, cts, t.logBuf)
-		if err != nil {
-			return err
-		}
-		t.leader, t.staged = leader, true
-		return nil
-	}
-	// Same latch discipline as Commit (paper §4.4): validation + staging and
-	// any leader I/O inside one non-preemptible region, follower parking
-	// outside it with no latch held. A writing participant also opens the
-	// hot-key cache's write window here — the in-doubt versions block
-	// conflicting writers, and the open window blocks colliding cache fills
-	// for the same span, until ResolveCommit/ResolveAbort closes it.
-	invalidate := t.eng.cache != nil && t.logBuf.Len() > 0
-	pcontext.NonPreemptible(t.ctx, func() {
-		if invalidate {
-			t.eng.cache.BeginWrites(t.logBuf)
-			t.cacheHeld = true
-		}
-		_, mvccErr = t.inner.Prepare(stage)
-		if t.leader {
-			if sampled {
-				w0 := clock.Nanos()
-				_, ioErr = t.eng.log.LeaderFinish(t.logBuf)
-				walNs = clock.Nanos() - w0
-			} else {
-				_, ioErr = t.eng.log.LeaderFinish(t.logBuf)
-			}
-		}
-	})
-	if t.staged && !t.leader {
-		t.ctx.Poll()
-		if sampled {
-			w0 := clock.Nanos()
-			_, ioErr = t.eng.log.FollowerWait(t.logBuf)
-			walNs = clock.Nanos() - w0
-		} else {
-			_, ioErr = t.eng.log.FollowerWait(t.logBuf)
-		}
-	}
-	closeWindow := func() {
-		if t.cacheHeld {
-			t.cacheHeld = false
-			t.eng.cache.EndWrites(t.logBuf)
-		}
+	t.prepGID = gid
+	mvccErr, ioErr := t.finish(mvcc.StepPrepare)
+	if mvccErr == nil {
+		mvccErr = ioErr
 	}
 	if mvccErr != nil {
-		// mvcc.Prepare already aborted the transaction; finish the engine
-		// teardown.
-		closeWindow()
-		t.eng.unregisterPrepare(gid)
-		t.done = true
-		t.logBuf.Reset()
-		t.inner.Release()
-		t.releaseGuest()
-		t.eng.aborts.Add(1)
+		// Validation or staging failed, or the prepare frame never became
+		// durable — either way the prepare never happened; Abort rolls the
+		// hold back, closes the cache window and drops the clamp.
+		t.Abort()
 		return mvccErr
 	}
-	if ioErr != nil {
-		// The prepare frame never became durable, so the prepare never
-		// happened; roll the hold back.
-		t.eng.unregisterPrepare(gid)
-		t.done = true
-		pcontext.NonPreemptible(t.ctx, func() { t.inner.Abort() })
-		closeWindow()
-		t.logBuf.Reset()
-		t.inner.Release()
-		t.releaseGuest()
-		t.eng.aborts.Add(1)
-		return ioErr
-	}
-	if sampled && t.staged {
-		class := metrics.ClassLo
-		if t.ctx != nil && t.ctx.CLS().HighPrio {
-			class = metrics.ClassHi
-		}
-		t.eng.metrics.Observe(class, metrics.PhaseWALWait, t.hint, walNs)
-		if t.eng.traceSpans {
-			var lead uint8
-			if t.leader {
-				lead = 1
-			}
-			t.ctx.TraceEvent(pcontext.EvWALWait, pcontext.SpanAux(walNs, lead))
-		}
-	}
-	t.prepGID = gid
 	if t.eng.traceSpans {
 		t.ctx.TraceEvent(pcontext.EvPrepare, pcontext.SpanAux(clock.Nanos()-t0, t.eng.shardID))
 	}
@@ -146,11 +59,11 @@ func (t *Txn) PrepareCommit(gid uint64) error {
 }
 
 // ResolveCommit publishes a prepared participant after the coordinator's
-// decision record is durable. The in-memory commit is unconditional — the
-// decision already binds the outcome, and recovery would commit this
-// participant from its prepare frame plus the decision — so like Commit, a
-// non-nil return after a successful prepare means "committed here, the
-// resolution record is not durable", which only matters if the WAL has
+// decision record is durable (finish's resolve step). The in-memory commit is
+// unconditional — the decision already binds the outcome, and recovery would
+// commit this participant from its prepare frame plus the decision — so like
+// Commit, a non-nil return after a successful prepare means "committed here,
+// the resolution record is not durable", which only matters if the WAL has
 // failed (the database degrades to read-only then anyway).
 func (t *Txn) ResolveCommit() error {
 	t0 := clock.Nanos()
@@ -160,57 +73,19 @@ func (t *Txn) ResolveCommit() error {
 	if t.prepGID == 0 {
 		return mvcc.ErrNotPrepared
 	}
-	gid := t.prepGID
-	t.prepGID = 0
 	t.done = true
-	t.staged, t.leader = false, false
-	var mvccErr, ioErr error
-	// The resolution record: an ordinary committed frame whose id is the
-	// gid. Replay matches it against the prepare frame to take the
-	// transaction out of doubt, and applies it (not the prepare) as the
-	// authoritative redo.
-	stage := func(cts uint64) error {
-		if t.logBuf.Len() == 0 {
-			return nil
-		}
-		leader, err := t.eng.log.Stage(gid, cts, t.logBuf)
-		if err != nil {
-			return err
-		}
-		t.leader, t.staged = leader, true
-		return nil
+	mvccErr, ioErr := t.finish(mvcc.StepResolve)
+	t.eng.unregisterPrepare(t.prepGID)
+	t.prepGID = 0
+	if mvccErr == nil {
+		mvccErr = ioErr
 	}
-	pcontext.NonPreemptible(t.ctx, func() {
-		_, mvccErr = t.inner.CommitPrepared(stage)
-		if t.cacheHeld {
-			// Publication just happened inside CommitPrepared (or the failed
-			// resolve aborted): close the write window opened at prepare.
-			t.cacheHeld = false
-			t.eng.cache.EndWrites(t.logBuf)
-		}
-		if t.staged {
-			t.eng.log.Published()
-		}
-		if t.leader {
-			_, ioErr = t.eng.log.LeaderFinish(t.logBuf)
-		}
-	})
-	if t.staged && !t.leader {
-		t.ctx.Poll()
-		_, ioErr = t.eng.log.FollowerWait(t.logBuf)
-	}
-	t.eng.unregisterPrepare(gid)
-	if t.eng.traceSpans && mvccErr == nil && ioErr == nil {
+	if t.eng.traceSpans && mvccErr == nil {
 		t.ctx.TraceEvent(pcontext.EvResolve, pcontext.SpanAux(clock.Nanos()-t0, t.eng.shardID))
 	}
-	t.logBuf.Reset()
-	t.inner.Release()
-	t.releaseGuest()
+	t.release()
 	t.eng.commits.Add(1)
-	if mvccErr != nil {
-		return mvccErr
-	}
-	return ioErr
+	return mvccErr
 }
 
 // ResolveAbort rolls a prepared participant back: its versions become

@@ -40,15 +40,16 @@ type Txn struct {
 	// ResolveCommit/ResolveAbort; zero otherwise.
 	prepGID uint64
 
-	// cacheHeld marks a prepared 2PC participant that entered the hot-key
-	// cache's write window (hotcache.BeginWrites) at PrepareCommit and has not
-	// yet left it; ResolveCommit and Abort balance it with EndWrites. Plain
-	// commits open and close the window within one Commit call instead.
+	// cacheHeld marks a transaction inside the hot-key cache's write window
+	// (hotcache.BeginWrites): finish opens it and, for a one-phase commit,
+	// closes it in the same call; a prepared 2PC participant keeps it open
+	// until ResolveCommit or Abort balances it with EndWrites.
 	cacheHeld bool
 
-	// Group-commit state for the Commit in flight. stageFn is bound once at
-	// construction so handing it to mvcc.Commit does not allocate a closure
-	// per commit.
+	// Group-commit state for the finish in flight. step (with prepGID) tells
+	// stage which frame to write; stageFn is bound once at construction so
+	// handing it to mvcc.Finish does not allocate a closure per commit.
+	step    mvcc.Step
 	staged  bool
 	leader  bool
 	stageFn func(cts uint64) error
@@ -129,27 +130,44 @@ func (e *Engine) BeginIso(ctx *pcontext.Context, iso mvcc.IsolationLevel) *Txn {
 }
 
 // stage frames the redo buffer into the open group-commit batch. Invoked by
-// mvcc.Commit after validation assigns the commit timestamp; a staged buffer
-// is always written by its batch leader. On a failed log Stage refuses the
-// enrollment with the latched ErrWALFailed, which aborts the commit before
-// anything is published — the transaction's effects neither become visible
-// nor reach the log.
+// mvcc.Finish after validation assigns the timestamp; a staged buffer is
+// always written by its batch leader. The frame follows the step: a one-phase
+// commit is a committed frame under the transaction's own id; a prepare is a
+// prepare frame under the gid; a resolution record is an ordinary committed
+// frame whose id is the gid — replay matches it against the prepare frame to
+// take the transaction out of doubt, and applies it (not the prepare) as the
+// authoritative redo. On a failed log Stage refuses the enrollment with the
+// latched ErrWALFailed, which aborts a commit or prepare before anything is
+// published — the transaction's effects neither become visible nor reach the
+// log.
 func (t *Txn) stage(cts uint64) error {
 	if t.logBuf.Len() == 0 {
-		return nil // read-only: nothing to log
+		return nil // read-only (participant): validation only, nothing to log
 	}
-	leader, err := t.eng.log.Stage(t.inner.ID(), cts, t.logBuf)
+	var leader bool
+	var err error
+	switch t.step {
+	case mvcc.StepPrepare:
+		leader, err = t.eng.log.StagePrepare(t.prepGID, cts, t.logBuf)
+	case mvcc.StepResolve:
+		leader, err = t.eng.log.Stage(t.prepGID, cts, t.logBuf)
+	default:
+		leader, err = t.eng.log.Stage(t.inner.ID(), cts, t.logBuf)
+	}
 	if err != nil {
 		return err
 	}
-	t.leader = leader
-	t.staged = true
+	t.leader, t.staged = leader, true
 	return nil
 }
 
-// releaseGuest returns a guest transaction's private oracle slot; a no-op for
-// pooled (owner-context) and nil-context transactions.
-func (t *Txn) releaseGuest() {
+// release is the one teardown of a finished transaction: the redo buffer is
+// emptied, the MVCC transaction object returns to its slot's pool, and a
+// guest transaction gives back its private oracle slot (a no-op for pooled
+// owner-context and nil-context transactions).
+func (t *Txn) release() {
+	t.logBuf.Reset()
+	t.inner.Release()
 	if t.guestSlot != nil {
 		t.eng.oracle.UnregisterSlot(t.guestSlot)
 		t.guestSlot = nil
@@ -389,87 +407,77 @@ func (t *Txn) scanTreeDesc(tree *index.Tree[*mvcc.Record], from, to []byte, fn S
 	return lcErr
 }
 
-// Commit finishes the transaction: serializable validation (if configured),
-// group-commit staging, and atomic publication run inside one non-preemptible
-// region because the commit critical section and any WAL latch must not be
-// held across a preemption (paper §4.4). If this committer became its batch's
-// leader it also performs the batch write+sync inside the SAME region — a
-// leader paused while holding the WAL's I/O latch would deadlock a same-core
-// higher-priority transaction that becomes the next batch's leader. Followers
-// instead park on their batch's completion channel outside the region,
-// holding no latch, so they can neither block nor be blocked by preemption.
+// finish is the commit pipeline: one-phase commit, 2PC prepare and 2PC resolve
+// are its three steps (see mvcc.Step), and it alone owns the latch discipline
+// of paper §4.4. Serializable validation (if configured), group-commit
+// staging, and atomic publication run inside one non-preemptible region
+// because the commit critical section and any WAL latch must not be held
+// across a preemption. If this committer became its batch's leader it also
+// performs the batch write+sync inside the SAME region — a leader paused while
+// holding the WAL's I/O latch would deadlock a same-core higher-priority
+// transaction that becomes the next batch's leader. Followers instead park on
+// their batch's completion channel outside the region, holding no latch, so
+// they can neither block nor be blocked by preemption.
 //
-// Durability ordering caveat: versions are published at staging time, before
-// the batch reaches the sink, so a log I/O error surfaces as the returned
-// error after the in-memory commit already happened (and is counted as a
-// commit). Single-node crash recovery is unaffected — the unlogged suffix is
-// simply not replayed — but callers mirroring the log elsewhere must treat a
-// non-nil return as "committed here, not durable".
-func (t *Txn) Commit() error {
-	if t.readonly {
-		return ErrTxnReadOnly // morsel readers are finished by ParallelScan
-	}
-	if t.done {
-		return mvcc.ErrTxnDone
-	}
-	if err := t.ctx.Err(); err != nil {
-		// Canceled or past deadline at the commit point: abort instead —
-		// the pooled Txn, oracle slot and redo buffer are all released by
-		// the abort path, and nothing is published or logged.
-		t.Abort()
-		return err
-	}
-	t.done = true
-	t.staged, t.leader = false, false
+// mvccErr is mvcc.Finish's verdict (for commit and prepare: aborted, nothing
+// published; for resolve: published, the resolution record could not be
+// staged); ioErr is the batch I/O outcome of a staged frame. The caller owns
+// the outcome bookkeeping and the teardown.
+func (t *Txn) finish(step mvcc.Step) (mvccErr, ioErr error) {
+	t.step, t.staged, t.leader = step, false, false
 	t.walTick++
 	sampled := t.walTick&walSampleMask == 0 || t.eng.traceAll
-	var walNs int64
-	var mvccErr, ioErr error
+	var t0 int64
 	// Hot-key cache write window: opened strictly before the MVCC
 	// commit-point store and closed after it (and before the commit is
 	// acknowledged), on success and failure alike. Both hooks run inside the
 	// non-preemptible region — they take only short per-shard cache locks, no
-	// I/O — so the window cannot be stretched by a preemption.
-	invalidate := t.eng.cache != nil && t.logBuf.Len() > 0
+	// I/O — so the window cannot be stretched by a preemption. A prepare
+	// leaves it open: the in-doubt versions block conflicting writers, and the
+	// open window blocks colliding cache fills for the same span, until the
+	// resolve step here (publication just happened) or Abort closes it.
+	open := step != mvcc.StepResolve && t.eng.cache != nil && t.logBuf.Len() > 0
 	pcontext.NonPreemptible(t.ctx, func() {
-		if invalidate {
+		if open {
 			t.eng.cache.BeginWrites(t.logBuf)
+			t.cacheHeld = true
 		}
-		_, mvccErr = t.inner.Commit(t.stageFn)
-		if invalidate {
+		_, mvccErr = t.inner.Finish(step, t.stageFn)
+		if t.cacheHeld && step != mvcc.StepPrepare {
+			t.cacheHeld = false
 			t.eng.cache.EndWrites(t.logBuf)
 		}
-		if t.staged {
-			// The commit-point store has run (mvcc.Commit publishes
+		if t.staged && step != mvcc.StepPrepare {
+			// The commit-point store has run (mvcc.Finish publishes
 			// unconditionally after a successful logFn): tell the WAL so
 			// checkpointing's PublishBarrier can see this transaction's
-			// versions before trusting an LSN that covers its frame.
+			// versions before trusting an LSN that covers its frame. Prepare
+			// frames are not counted — they publish nothing until resolved.
 			t.eng.log.Published()
 		}
 		if t.leader {
 			if sampled {
-				t0 := clock.Nanos()
-				_, ioErr = t.eng.log.LeaderFinish(t.logBuf)
-				walNs = clock.Nanos() - t0
-			} else {
-				_, ioErr = t.eng.log.LeaderFinish(t.logBuf)
+				t0 = clock.Nanos()
 			}
+			_, ioErr = t.eng.log.LeaderFinish(t.logBuf)
 		}
 	})
 	if t.staged && !t.leader {
 		// Let a pending preemption run before parking: the follower holds no
-		// latch and its versions are already published, so this is the
-		// natural low-priority wait point of §4.4.
+		// latch and (unless preparing) its versions are already published, so
+		// this is the natural low-priority wait point of §4.4 — and the only
+		// Poll on the commit path.
 		t.ctx.Poll()
 		if sampled {
-			t0 := clock.Nanos()
-			_, ioErr = t.eng.log.FollowerWait(t.logBuf)
-			walNs = clock.Nanos() - t0
-		} else {
-			_, ioErr = t.eng.log.FollowerWait(t.logBuf)
+			t0 = clock.Nanos()
 		}
+		_, ioErr = t.eng.log.FollowerWait(t.logBuf)
 	}
 	if sampled && t.staged {
+		// The 1-in-2^walSampleShift WAL-wait probe: every staged step rides
+		// the same group-commit pipeline, so its batch wait belongs in the
+		// same PhaseWALWait distribution.
+		walNs := clock.Nanos() - t0
 		class := metrics.ClassLo
 		if t.ctx != nil && t.ctx.CLS().HighPrio {
 			class = metrics.ClassHi
@@ -487,11 +495,39 @@ func (t *Txn) Commit() error {
 			t.ctx.TraceEvent(pcontext.EvWALWait, pcontext.SpanAux(walNs, lead))
 		}
 	}
-	t.logBuf.Reset()
-	t.inner.Release()
-	t.releaseGuest()
+	return mvccErr, ioErr
+}
+
+// Commit finishes the transaction in one phase (finish's commit step).
+//
+// Durability ordering caveat: versions are published at staging time, before
+// the batch reaches the sink, so a log I/O error surfaces as the returned
+// error after the in-memory commit already happened (and is counted as a
+// commit). Single-node crash recovery is unaffected — the unlogged suffix is
+// simply not replayed — but callers mirroring the log elsewhere must treat a
+// non-nil return as "committed here, not durable".
+func (t *Txn) Commit() error {
+	if t.readonly {
+		return ErrTxnReadOnly // morsel readers are finished by ParallelScan
+	}
+	if t.done {
+		return mvcc.ErrTxnDone
+	}
+	if t.prepGID != 0 {
+		return mvcc.ErrAlreadyPrepared // finish with ResolveCommit/ResolveAbort
+	}
+	if err := t.ctx.Err(); err != nil {
+		// Canceled or past deadline at the commit point: abort instead —
+		// the pooled Txn, oracle slot and redo buffer are all released by
+		// the abort path, and nothing is published or logged.
+		t.Abort()
+		return err
+	}
+	t.done = true
+	mvccErr, ioErr := t.finish(mvcc.StepCommit)
+	t.release()
 	if mvccErr != nil {
-		t.eng.aborts.Add(1)
+		t.eng.aborts.Add(1) // mvcc.Finish already rolled back
 		return mvccErr
 	}
 	t.eng.commits.Add(1)
@@ -525,9 +561,7 @@ func (t *Txn) Abort() {
 			t.eng.cache.EndWrites(t.logBuf)
 		}
 	})
-	t.logBuf.Reset()
-	t.inner.Release()
-	t.releaseGuest()
+	t.release()
 	t.eng.aborts.Add(1)
 }
 

@@ -70,10 +70,11 @@ var (
 	ErrReadValidation = errors.New("mvcc: serializable read validation failed")
 	// ErrTxnDone reports use of a committed or aborted transaction.
 	ErrTxnDone = errors.New("mvcc: transaction already finished")
-	// ErrNotPrepared reports CommitPrepared on a transaction that never ran
-	// Prepare (or whose prepare was already consumed).
+	// ErrNotPrepared reports StepResolve on a transaction that never ran
+	// StepPrepare (or whose prepare was already consumed).
 	ErrNotPrepared = errors.New("mvcc: transaction not prepared")
-	// ErrAlreadyPrepared reports a second Prepare on the same transaction.
+	// ErrAlreadyPrepared reports StepCommit or a second StepPrepare on a
+	// prepared transaction.
 	ErrAlreadyPrepared = errors.New("mvcc: transaction already prepared")
 )
 
@@ -110,7 +111,7 @@ type Txn struct {
 	oracle *Oracle
 	slot   *ActiveSlot
 
-	// prepared marks a transaction between Prepare and CommitPrepared/Abort:
+	// prepared marks a transaction between StepPrepare and StepResolve/Abort:
 	// validated (under Serializable) and logged, still Active — its in-flight
 	// versions keep blocking conflicting writers and stay invisible to
 	// readers, which is exactly the hold a 2PC participant needs while the
@@ -603,177 +604,127 @@ func (o *Oracle) MinActiveBegin() uint64 {
 	return min
 }
 
-// Commit finishes the transaction. Under Serializable it first validates the
+// Step selects what Finish does with an active transaction. The three steps
+// share one pipeline — validate, draw a timestamp, log, publish — and differ
+// only in which stages they run:
+//
+//	StepCommit   validate → draw cts → log → publish
+//	StepPrepare  validate → draw cts → log → hold (stay Active, marked prepared)
+//	StepResolve  draw a fresh cts → log → publish (a prepared transaction)
+type Step uint8
+
+const (
+	StepCommit Step = iota
+	StepPrepare
+	StepResolve
+)
+
+// Commit finishes the transaction in one phase; see Finish.
+func (t *Txn) Commit(logFn func(cts uint64) error) (uint64, error) {
+	return t.Finish(StepCommit, logFn)
+}
+
+// Finish runs one commit step. Under Serializable it first validates the
 // read set; the validation+publication pair runs inside the oracle's commit
 // critical section, which the caller's engine wraps in a non-preemptible
-// region. logFn, when non-nil, is invoked with the commit timestamp after
+// region. logFn, when non-nil, is invoked with the drawn timestamp after
 // validation and before publication — the hook the storage engine uses to
 // flush its CLS redo buffer so the log never contains an unpublishable
 // transaction.
-func (t *Txn) Commit(logFn func(cts uint64) error) (uint64, error) {
+//
+// StepPrepare is the first phase of a two-phase commit: logFn receives a
+// provisional timestamp, and on success the transaction stays Active and
+// marked prepared — its versions remain in-flight, blocking conflicting
+// writers and invisible to readers, until StepResolve publishes them or Abort
+// rolls them back. On any failure of StepCommit or StepPrepare (lifecycle
+// error, validation, logFn) the transaction aborts cleanly and nothing was
+// published.
+//
+// Serializable caveat: read validation happens at StepPrepare, not at
+// StepResolve — between the two, the participant holds no latch, so a local
+// serializable transaction can commit in the window. Write-write conflicts
+// are still excluded (the prepared versions stay in-flight); only
+// read-antidependencies across the window are unchecked, the classic
+// 2PC-over-OCC relaxation.
+//
+// StepResolve draws a FRESH commit timestamp — not the prepare-time one —
+// because the in-doubt window is unbounded: publishing the stale prepare
+// timestamp would make the versions visible retroactively to snapshots taken
+// mid-window, breaking snapshot isolation. (The prepare timestamp is used
+// only when recovery itself resolves an in-doubt transaction, where no live
+// snapshot ever observed the intermediate state.) logFn stages the resolution
+// record; unlike the other steps, a logFn error does NOT abort — the
+// coordinator's decision is already durable, so recovery would commit this
+// transaction anyway, and the in-memory state must agree. The error is
+// returned alongside the published timestamp with "committed here, resolution
+// not durable" semantics.
+func (t *Txn) Finish(step Step, logFn func(cts uint64) error) (uint64, error) {
 	if !t.Active() {
 		return 0, ErrTxnDone
 	}
-	if err := t.ctx.Err(); err != nil {
-		// A canceled or deadline-expired transaction must never publish:
-		// its submitter has already been (or will be) told it failed.
-		t.abortLocked()
-		if t.slot != nil {
-			t.slot.begin.Store(0)
-		}
-		return 0, err
+	switch {
+	case step == StepResolve && !t.prepared:
+		return 0, ErrNotPrepared
+	case step != StepResolve && t.prepared:
+		return 0, ErrAlreadyPrepared
 	}
-	release := func() {
-		if t.slot != nil {
-			t.slot.begin.Store(0)
+	if step != StepResolve {
+		if err := t.ctx.Err(); err != nil {
+			// A canceled or deadline-expired transaction must never publish:
+			// its submitter has already been (or will be) told it failed. A
+			// prepared one is past that point — its decision already binds.
+			t.abortLocked()
+			return 0, err
 		}
 	}
-	finish := func() (uint64, error) {
+	if t.iso == Serializable {
+		// Commit/validation is a latch-holding critical section: the engine
+		// layer additionally wraps Finish in a non-preemptible region (§4.4).
+		// A resolve validates nothing, but its publication still serializes
+		// with local serializable commits so their validation scans never
+		// race our stamping.
+		t.oracle.commitMu.Lock()
+		defer t.oracle.commitMu.Unlock()
+		if step != StepResolve {
+			if err := t.validateReads(); err != nil {
+				t.abortLocked()
+				return 0, err
+			}
+		}
+	}
+	if step != StepPrepare {
 		// Enter the publication window BEFORE drawing the commit timestamp:
 		// once the clock advances, any new reader's begin covers our (still
 		// unpublished) versions, and resolve must make such readers wait
 		// rather than read around them — see statusCommitting.
 		t.state.Store(statusCommitting)
-		cts := t.oracle.clock.Add(1)
-		if logFn != nil {
-			if err := logFn(cts); err != nil {
-				t.abortLocked()
-				release()
-				return 0, err
-			}
-		}
-		// The atomic commit point: all our versions become visible at once.
-		t.state.Store(statusCommitted | cts<<statusBits)
-		// Eagerly stamp versions so readers take the fast path, then drop
-		// the writer references to unpin the Txn.
-		for i := range t.writes {
-			v := t.writes[i].ver
-			v.cts.CompareAndSwap(0, cts)
-			v.writer.Store(nil)
-		}
-		release()
-		return cts, nil
 	}
-
-	// Commit/validation is a latch-holding critical section: the engine
-	// layer additionally wraps Commit in a non-preemptible region (§4.4).
-	if t.iso != Serializable {
-		return finish()
-	}
-	t.oracle.commitMu.Lock()
-	defer t.oracle.commitMu.Unlock()
-	if err := t.validateReads(); err != nil {
-		t.abortLocked()
-		release()
-		return 0, err
-	}
-	return finish()
-}
-
-// Prepare runs the first phase of a two-phase commit: validation (under
-// Serializable, inside the commit critical section) and logging via logFn,
-// which receives a provisional timestamp drawn from the clock. On success the
-// transaction stays Active and marked prepared — its versions remain
-// in-flight, blocking conflicting writers and invisible to readers, until
-// CommitPrepared publishes them or Abort rolls them back. On any failure
-// (lifecycle error, validation, logFn) the transaction aborts cleanly and
-// nothing was published.
-//
-// Serializable caveat: read validation happens here, not at CommitPrepared —
-// between the two, the participant holds no latch, so a local serializable
-// transaction can commit in the window. Write-write conflicts are still
-// excluded (the prepared versions stay in-flight); only read-antidependencies
-// across the window are unchecked, the classic 2PC-over-OCC relaxation.
-func (t *Txn) Prepare(logFn func(cts uint64) error) (uint64, error) {
-	if !t.Active() {
-		return 0, ErrTxnDone
-	}
-	if t.prepared {
-		return 0, ErrAlreadyPrepared
-	}
-	release := func() {
-		if t.slot != nil {
-			t.slot.begin.Store(0)
+	cts := t.oracle.clock.Add(1)
+	var lerr error
+	if logFn != nil {
+		if lerr = logFn(cts); lerr != nil && step != StepResolve {
+			t.abortLocked()
+			return 0, lerr
 		}
 	}
-	if err := t.ctx.Err(); err != nil {
-		t.abortLocked()
-		release()
-		return 0, err
-	}
-	prep := func() (uint64, error) {
-		cts := t.oracle.clock.Add(1)
-		if logFn != nil {
-			if err := logFn(cts); err != nil {
-				t.abortLocked()
-				release()
-				return 0, err
-			}
-		}
+	if step == StepPrepare {
 		t.prepared = true
 		return cts, nil
 	}
-	if t.iso != Serializable {
-		return prep()
-	}
-	t.oracle.commitMu.Lock()
-	defer t.oracle.commitMu.Unlock()
-	if err := t.validateReads(); err != nil {
-		t.abortLocked()
-		release()
-		return 0, err
-	}
-	return prep()
-}
-
-// CommitPrepared publishes a prepared transaction. It draws a FRESH commit
-// timestamp — not the prepare-time one — because the in-doubt window is
-// unbounded: publishing the stale prepare timestamp would make the versions
-// visible retroactively to snapshots taken mid-window, breaking snapshot
-// isolation. (The prepare timestamp is used only when recovery itself
-// resolves an in-doubt transaction, where no live snapshot ever observed the
-// intermediate state.) logFn stages the resolution record; unlike Commit, a
-// logFn error does NOT abort — the coordinator's decision is already durable,
-// so recovery would commit this transaction anyway, and the in-memory state
-// must agree. The error is returned alongside the published timestamp with
-// "committed here, resolution not durable" semantics.
-func (t *Txn) CommitPrepared(logFn func(cts uint64) error) (uint64, error) {
-	if !t.Active() {
-		return 0, ErrTxnDone
-	}
-	if !t.prepared {
-		return 0, ErrNotPrepared
-	}
 	t.prepared = false
-	finish := func() (uint64, error) {
-		// Same publication-window discipline as Commit: readers that begin
-		// after the clock draw must wait out the store below, not read around
-		// the still-unpublished versions.
-		t.state.Store(statusCommitting)
-		cts := t.oracle.clock.Add(1)
-		var lerr error
-		if logFn != nil {
-			lerr = logFn(cts)
-		}
-		t.state.Store(statusCommitted | cts<<statusBits)
-		for i := range t.writes {
-			v := t.writes[i].ver
-			v.cts.CompareAndSwap(0, cts)
-			v.writer.Store(nil)
-		}
-		if t.slot != nil {
-			t.slot.begin.Store(0)
-		}
-		return cts, lerr
+	// The atomic commit point: all our versions become visible at once.
+	t.state.Store(statusCommitted | cts<<statusBits)
+	// Eagerly stamp versions so readers take the fast path, then drop the
+	// writer references to unpin the Txn.
+	for i := range t.writes {
+		v := t.writes[i].ver
+		v.cts.CompareAndSwap(0, cts)
+		v.writer.Store(nil)
 	}
-	if t.iso != Serializable {
-		return finish()
+	if t.slot != nil {
+		t.slot.begin.Store(0)
 	}
-	// Publication still serializes with local serializable commits so their
-	// validation scans never race our stamping.
-	t.oracle.commitMu.Lock()
-	defer t.oracle.commitMu.Unlock()
-	return finish()
+	return cts, lerr
 }
 
 // validateReads implements backward OCC: every record read must still expose
@@ -856,12 +807,11 @@ func (t *Txn) Abort() error {
 		return ErrTxnDone
 	}
 	t.abortLocked()
-	if t.slot != nil {
-		t.slot.begin.Store(0)
-	}
 	return nil
 }
 
+// abortLocked is the rollback itself, shared by Abort and Finish's failure
+// exits; it also withdraws the slot's snapshot advertisement.
 func (t *Txn) abortLocked() {
 	t.prepared = false
 	t.state.Store(statusAborted)
@@ -873,5 +823,8 @@ func (t *Txn) abortLocked() {
 		// Failure means a later writer superseded it; readers skip aborted
 		// versions regardless, and GC trims them eventually.
 		w.rec.head.CompareAndSwap(w.ver, w.ver.prev.Load())
+	}
+	if t.slot != nil {
+		t.slot.begin.Store(0)
 	}
 }

@@ -329,7 +329,6 @@ func (c *Core) poll(cur *Context) {
 			c.deliveryObs(lat)
 		}
 	}
-	cur.tcb.passiveSwitchEligible++
 	c.tracer.record(EvRecognized, int8(cur.id), -1, cur.traceTag)
 	c.handler(cur, bitmap)
 	c.recv.UIRET()
@@ -469,7 +468,7 @@ func (x *Context) SwitchTo(target *Context) {
 	if target == x {
 		return
 	}
-	x.tcb.passiveSwitches++
+	x.tcb.passiveSwitches.Store(x.tcb.passiveSwitches.Load() + 1)
 	x.core.tracer.record(EvPassiveSwitch, int8(x.id), int8(target.id), x.traceTag)
 	x.core.active.Store(target)
 	x.core.recv.STUI()
@@ -494,7 +493,7 @@ func (x *Context) SwapContext(target *Context) {
 	}
 	recv := x.core.recv
 	recv.CLUI() // .swap_context_start
-	x.tcb.activeSwitches++
+	x.tcb.activeSwitches.Store(x.tcb.activeSwitches.Load() + 1)
 	x.core.tracer.record(EvActiveSwitch, int8(x.id), int8(target.id), x.traceTag)
 	x.core.active.Store(target)
 	recv.STUI() // re-enable before the indirect jump, as in Algorithm 2
@@ -549,10 +548,12 @@ type TCB struct {
 	// argument the paper makes for its CLS lock counter.
 	npr int32
 
-	passiveSwitches       uint64
-	activeSwitches        uint64
-	passiveSwitchEligible uint64
-	suppressedPolls       uint64
+	// The switch counters are written only by the switching context — so
+	// Store(Load()+1) is enough, no atomic read-modify-write on the switch
+	// path — and read from other goroutines by stats collectors.
+	passiveSwitches atomic.Uint64
+	activeSwitches  atomic.Uint64
+	suppressedPolls uint64
 }
 
 // Lock enters a non-preemptible region (paper §4.4). Regions nest; interrupt
@@ -571,10 +572,10 @@ func (t *TCB) Unlock() {
 func (t *TCB) InNonPreemptible() bool { return t.npr > 0 }
 
 // PassiveSwitches returns the number of interrupt-triggered switches.
-func (t *TCB) PassiveSwitches() uint64 { return t.passiveSwitches }
+func (t *TCB) PassiveSwitches() uint64 { return t.passiveSwitches.Load() }
 
 // ActiveSwitches returns the number of voluntary SwapContext switches.
-func (t *TCB) ActiveSwitches() uint64 { return t.activeSwitches }
+func (t *TCB) ActiveSwitches() uint64 { return t.activeSwitches.Load() }
 
 // SuppressedPolls returns how many polls fell inside non-preemptible regions.
 func (t *TCB) SuppressedPolls() uint64 { return t.suppressedPolls }

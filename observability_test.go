@@ -101,6 +101,12 @@ func TestTraceTxnCrossShard(t *testing.T) {
 	if names["2pc-prepare"] < 2 || names["2pc-resolve"] < 2 {
 		t.Errorf("want >=2 prepare and resolve spans, got %d/%d", names["2pc-prepare"], names["2pc-resolve"])
 	}
+	// Every staged step waits on its group-commit batch and says so: both
+	// participants' prepares and both resolves (the decision record commits
+	// on a private nil-context transaction, which has no ring to write to).
+	if n := names["wal group-commit wait"]; n != 4 {
+		t.Errorf("wal-wait spans = %d, want 4 (2 prepares + 2 resolves)", n)
+	}
 }
 
 // TestClientSuppliedTraceID checks that a caller-provided trace id names the

@@ -393,7 +393,11 @@ func Open(dir string, cfg Config) (*DB, error) {
 	}
 	applyDefaults(&cfg)
 	if dir == "" {
-		db, err := newDB(cfg, nil)
+		shs := make([]*shard, cfg.Shards)
+		for i := range shs {
+			shs[i] = newShard(cfg, i, nil)
+		}
+		db, err := assembleDB(cfg, shs)
 		if err != nil {
 			return nil, err
 		}
@@ -406,54 +410,7 @@ func Open(dir string, cfg Config) (*DB, error) {
 		db.ensureDecisionTables()
 		return db, nil
 	}
-	if cfg.Shards > 1 {
-		return openSharded(dir, cfg)
-	}
-	d, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	cks, err := d.Checkpoints()
-	if err != nil {
-		return nil, err
-	}
-	// Recovery candidates, newest checkpoint first, ending with "no
-	// checkpoint" (replay the whole log from LSN 0). A candidate that fails
-	// verification anywhere — checkpoint CRC, mid-stream log corruption, a
-	// checkpoint whose LSN the log never durably reached — is abandoned
-	// wholesale and the next one tried from a fresh engine, so partial
-	// restore state never leaks into the opened database.
-	var errs []error
-	for i := len(cks); i >= 0; i-- {
-		var ck *store.Checkpoint
-		if i > 0 {
-			ck = &cks[i-1]
-		}
-		db, err := tryOpenDir(d, cfg, ck)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		return db, nil
-	}
-	return nil, fmt.Errorf("preemptdb: open %s: %w", dir, errors.Join(errs...))
-}
-
-// newDB builds the database: one shard stack (engine, scheduler, registry)
-// per Config.Shards, plus the shared admission controller. dlogs, when
-// non-nil, holds one segmented log per shard (file-backed mode); the logs are
-// still unpositioned, so constructing the engines writes nothing.
-func newDB(cfg Config, dlogs []*store.Log) (*DB, error) {
-	applyDefaults(&cfg)
-	shs := make([]*shard, cfg.Shards)
-	for i := range shs {
-		var dlog *store.Log
-		if dlogs != nil {
-			dlog = dlogs[i]
-		}
-		shs[i] = newShard(cfg, i, dlog)
-	}
-	return assembleDB(cfg, shs)
+	return openSharded(dir, cfg)
 }
 
 // applyDefaults normalizes the zero-value config knobs shared by every open
@@ -562,20 +519,6 @@ func assembleDB(cfg Config, shs []*shard) (*DB, error) {
 		}
 	}
 	return db, nil
-}
-
-// tryOpenDir attempts a full single-shard file-backed open against one
-// recovery candidate (a checkpoint, or nil for log-only replay). Any failure
-// closes the half-recovered shard and is reported to the caller for
-// fallback.
-func tryOpenDir(d *store.Dir, cfg Config, ck *store.Checkpoint) (*DB, error) {
-	sh := newShard(cfg, 0, d.NewLog(cfg.SegmentBytes))
-	sh.dir = d
-	if _, err := sh.recover(cfg, ck); err != nil {
-		sh.close()
-		return nil, err
-	}
-	return assembleDB(cfg, []*shard{sh})
 }
 
 // Close stops the workers, releases their engine resources (oracle slots,
@@ -961,31 +904,6 @@ func (db *DB) Vacuum() int {
 		n += sh.eng.Vacuum(pcontext.Detached())
 	}
 	return n
-}
-
-// errSharded reports a single-stream checkpoint operation on a sharded
-// database (each shard checkpoints its own stream; use CheckpointDisk).
-var errSharded = errors.New("preemptdb: streaming Checkpoint/RestoreCheckpoint requires Shards == 1; use CheckpointDisk on sharded databases")
-
-// Checkpoint writes a transactionally consistent snapshot of all tables to
-// w. Restoring it and replaying a redo log started at checkpoint time
-// reproduces the database; see RestoreCheckpoint. Requires Shards == 1 —
-// a sharded database has one checkpoint stream per shard (CheckpointDisk).
-func (db *DB) Checkpoint(w io.Writer) error {
-	if len(db.shards) > 1 {
-		return errSharded
-	}
-	return db.shards[0].eng.Checkpoint(w)
-}
-
-// RestoreCheckpoint loads a checkpoint stream produced by Checkpoint into
-// this database. Tables and indexes must already be created, matching the
-// schema at checkpoint time. Requires Shards == 1.
-func (db *DB) RestoreCheckpoint(r io.Reader) error {
-	if len(db.shards) > 1 {
-		return errSharded
-	}
-	return db.shards[0].eng.RestoreCheckpoint(r)
 }
 
 // checkpointsKept is how many disk checkpoints CheckpointDisk retains. Two

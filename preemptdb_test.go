@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,6 +217,71 @@ func TestHighPreemptsLow(t *testing.T) {
 	}
 	if st.Commits == 0 {
 		t.Fatal("no commits counted")
+	}
+}
+
+// TestStatsSampledWhilePreempting: DB.Stats sums every context's switch
+// counters from the caller's goroutine while the owning contexts bump them on
+// each preemption. Under -race this fails unless the counters are atomics
+// (they are single-writer: the switching context); without -race it still
+// checks that a sampled counter never runs backwards.
+func TestStatsSampledWhilePreempting(t *testing.T) {
+	db := openTest(t, Config{Workers: 1, Policy: PolicyPreempt})
+	db.CreateTable("data")
+	if err := db.Run(func(tx *Txn) error {
+		var k [8]byte
+		for i := 0; i < 20000; i++ {
+			binary.BigEndian.PutUint64(k[:], uint64(i))
+			if err := tx.Insert("data", k[:], []byte("x")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	sampled := make(chan error, 1)
+	go func() {
+		var last Stats
+		for !stop.Load() {
+			st := db.Stats()
+			if st.PassiveSwitches < last.PassiveSwitches || st.ActiveSwitches < last.ActiveSwitches {
+				sampled <- fmt.Errorf("switch counters ran backwards: %d/%d after %d/%d",
+					st.PassiveSwitches, st.ActiveSwitches, last.PassiveSwitches, last.ActiveSwitches)
+				return
+			}
+			last = st
+			runtime.Gosched()
+		}
+		sampled <- nil
+	}()
+
+	// One long Low scan keeps the worker's low slot busy; every High request
+	// has to preempt it (a passive switch in, an active switch back).
+	lowDone := make(chan struct{})
+	db.Submit(Low, func(tx *Txn) error {
+		for !stop.Load() {
+			tx.Scan("data", nil, nil, func(k, v []byte) bool { return true })
+		}
+		return nil
+	}, func(error) { close(lowDone) })
+	for i := 0; i < 200; i++ {
+		if err := db.Exec(High, func(tx *Txn) error {
+			_, err := tx.Get("data", binary.BigEndian.AppendUint64(nil, uint64(i)))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	<-lowDone
+	if err := <-sampled; err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.PassiveSwitches == 0 || st.ActiveSwitches == 0 {
+		t.Fatalf("no preemption happened: passive %d, active %d", st.PassiveSwitches, st.ActiveSwitches)
 	}
 }
 

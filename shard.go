@@ -96,10 +96,19 @@ func (sh *shard) recover(cfg Config, ck *store.Checkpoint) ([]wal.PreparedTxn, e
 	return pending, nil
 }
 
-// openShard recovers shard si from its directory under root, trying recovery
-// candidates newest-checkpoint-first exactly like the single-shard open.
+// openShard recovers shard si from its directory — root itself for a
+// single-shard database (the flat pre-sharding layout), root/shard-<i>
+// otherwise — trying recovery candidates newest checkpoint first and ending
+// with "no checkpoint" (replay the whole log from LSN 0). A candidate that
+// fails verification anywhere — checkpoint CRC, mid-stream log corruption, a
+// checkpoint whose LSN the log never durably reached — is abandoned wholesale
+// and the next one tried from a fresh engine, so partial restore state never
+// leaks into the opened database.
 func openShard(root string, cfg Config, si int) (*shard, []wal.PreparedTxn, error) {
-	d, err := store.Open(filepath.Join(root, fmt.Sprintf("shard-%d", si)))
+	if cfg.Shards > 1 {
+		root = filepath.Join(root, fmt.Sprintf("shard-%d", si))
+	}
+	d, err := store.Open(root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,12 +135,12 @@ func openShard(root string, cfg Config, si int) (*shard, []wal.PreparedTxn, erro
 	return nil, nil, errors.Join(errs...)
 }
 
-// openSharded is the multi-shard file-backed open: recover every shard from
-// dir/shard-<i>/, then — once all decision tables are back — settle each
-// shard's in-doubt 2PC prepares against them, and only then start schedulers
-// and accept work.
+// openSharded is the file-backed open at every shard count: recover every
+// shard from its directory, then — once all decision tables are back — settle
+// each shard's in-doubt 2PC prepares against them, and only then start
+// schedulers and accept work. (A single shard has no decision table and can
+// have nothing in doubt.)
 func openSharded(dir string, cfg Config) (*DB, error) {
-	applyDefaults(&cfg)
 	shs := make([]*shard, cfg.Shards)
 	pends := make([][]wal.PreparedTxn, cfg.Shards)
 	fail := func(err error) (*DB, error) {
