@@ -328,8 +328,11 @@ func (t *Txn) Delete(table *Table, key []byte) error {
 	return nil
 }
 
-// ScanFunc receives rows in key order; return false to stop. key and value
-// must not be retained or modified across calls.
+// ScanFunc receives rows in key order; return false to stop. Neither slice
+// may be modified, and key must not be retained across calls. value is the
+// visible version's payload, which nothing writes again once the version is
+// installed: it may be kept (the tpcc/tpch row views do) for as long as it is
+// only read.
 type ScanFunc func(key, value []byte) bool
 
 // Scan visits rows visible to this transaction with from <= key < to in

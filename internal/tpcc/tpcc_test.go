@@ -12,16 +12,7 @@ import (
 // testScale keeps load times tiny while exercising all code paths.
 var testScale = ScaleConfig{Warehouses: 2, Districts: 3, Customers: 20, Items: 100, Seed: 42}
 
-func loadedClient(t *testing.T) *Client {
-	t.Helper()
-	e := engine.New(engine.Config{})
-	CreateSchema(e)
-	cfg, err := Load(e, testScale)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	return NewClient(e, cfg)
-}
+func loadedClient(t *testing.T) *Client { return loadedAt(t, testScale) }
 
 // ytdInvariant checks the TPC-C consistency condition W_YTD = ΣD_YTD per
 // warehouse (condition 1 of the spec's consistency requirements).

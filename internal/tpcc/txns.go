@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -26,8 +27,8 @@ type Client struct {
 	e   *engine.Engine
 	cfg ScaleConfig
 
-	warehouses, districts, customers, history  *engine.Table
-	neworder, orders, orderline, items, stock  *engine.Table
+	warehouses, districts, customers, history *engine.Table
+	neworder, orders, orderline, items, stock *engine.Table
 
 	hseq atomic.Uint64 // history primary-key uniquifier
 }
@@ -103,7 +104,9 @@ func (c *Client) NewOrder(ctx *pcontext.Context, r *rng.Rand, w uint32) error {
 	type line struct {
 		iid, supplyW, qty uint32
 	}
-	lines := make([]line, olCnt)
+	var lineBuf [15]line
+	lines := lineBuf[:olCnt]
+	allLocal := uint32(1)
 	for i := range lines {
 		lines[i] = line{
 			iid:     uint32(r.NURand(8191, 1, c.cfg.Items)),
@@ -113,6 +116,9 @@ func (c *Client) NewOrder(ctx *pcontext.Context, r *rng.Rand, w uint32) error {
 		if r.IntRange(1, 100) == 1 { // 1% remote supply warehouse
 			lines[i].supplyW = c.randomRemoteWID(r, w)
 		}
+		if lines[i].supplyW != w {
+			allLocal = 0
+		}
 	}
 	if rollback {
 		lines[olCnt-1].iid = uint32(c.cfg.Items) + 999999 // unused item: forces abort
@@ -121,123 +127,114 @@ func (c *Client) NewOrder(ctx *pcontext.Context, r *rng.Rand, w uint32) error {
 	return retry(func() error {
 		tx := c.e.Begin(ctx)
 		defer tx.Abort()
+		var kb keyBuf
 
-		wRow, err := tx.Get(c.warehouses, WarehouseKey(w))
+		wRow, err := tx.Get(c.warehouses, key(kb[:0], w))
 		if err != nil {
 			return err
 		}
-		wTax := DecodeWarehouse(wRow).Tax
+		wTax := WarehouseRow(wRow).Tax()
 
-		dKey := DistrictKey(w, did)
-		dRow, err := tx.Get(c.districts, dKey)
+		dRow, err := tx.Get(c.districts, key(kb[:0], w, did))
 		if err != nil {
 			return err
 		}
-		district := DecodeDistrict(dRow)
-		oid := district.NextOID
-		district.NextOID++
-		if err := tx.Update(c.districts, dKey, district.Encode()); err != nil {
+		district := DistrictRow(bytes.Clone(dRow))
+		oid := district.NextOID()
+		district.SetNextOID(oid + 1)
+		if err := tx.Update(c.districts, key(kb[:0], w, did), district); err != nil {
 			return err
 		}
 
-		cRow, err := tx.Get(c.customers, CustomerKey(w, did, cid))
+		cRow, err := tx.Get(c.customers, key(kb[:0], w, did, cid))
 		if err != nil {
 			return err
 		}
-		cust := DecodeCustomer(cRow)
+		discount := CustomerRow(cRow).Discount()
 
-		allLocal := uint32(1)
-		for _, l := range lines {
-			if l.supplyW != w {
-				allLocal = 0
-			}
-		}
 		ord := Order{ID: oid, DID: did, WID: w, CID: cid, OLCnt: uint32(olCnt), AllLocal: allLocal}
-		if err := tx.Insert(c.orders, OrderKey(w, did, oid), ord.Encode()); err != nil {
+		if err := tx.Insert(c.orders, key(kb[:0], w, did, oid), ord.Encode()); err != nil {
 			return err
 		}
 		no := NewOrderRow{OID: oid, DID: did, WID: w}
-		if err := tx.Insert(c.neworder, NewOrderKey(w, did, oid), no.Encode()); err != nil {
+		if err := tx.Insert(c.neworder, key(kb[:0], w, did, oid), no.Encode()); err != nil {
 			return err
 		}
 
 		var total int64
 		for i, l := range lines {
-			iRow, err := tx.Get(c.items, ItemKey(l.iid))
+			iRow, err := tx.Get(c.items, key(kb[:0], l.iid))
 			if err != nil {
 				if errors.Is(err, engine.ErrNotFound) && rollback && i == olCnt-1 {
 					return ErrUserAbort // spec: rollback on invalid item
 				}
 				return err
 			}
-			item := DecodeItem(iRow)
+			amount := int64(l.qty) * ItemRow(iRow).Price()
+			total += amount
 
-			sKey := StockKey(l.supplyW, l.iid)
-			sRow, err := tx.Get(c.stock, sKey)
+			sRow, err := tx.Get(c.stock, key(kb[:0], l.supplyW, l.iid))
 			if err != nil {
 				return err
 			}
-			st := DecodeStock(sRow)
-			if st.Quantity >= int32(l.qty)+10 {
-				st.Quantity -= int32(l.qty)
-			} else {
-				st.Quantity = st.Quantity - int32(l.qty) + 91
+			st := StockRow(bytes.Clone(sRow))
+			q := st.Quantity() - int32(l.qty)
+			if q < 10 {
+				q += 91
 			}
-			st.YTD += uint64(l.qty)
-			st.OrderCnt++
+			st.SetQuantity(q)
+			st.SetYTD(st.YTD() + uint64(l.qty))
+			st.SetOrderCnt(st.OrderCnt() + 1)
 			if l.supplyW != w {
-				st.RemoteCnt++
+				st.SetRemoteCnt(st.RemoteCnt() + 1)
 			}
-			if err := tx.Update(c.stock, sKey, st.Encode()); err != nil {
+			if err := tx.Update(c.stock, key(kb[:0], l.supplyW, l.iid), st); err != nil {
 				return err
 			}
 
-			amount := int64(l.qty) * item.Price
-			total += amount
 			ol := OrderLine{
 				OID: oid, DID: did, WID: w, Number: uint32(i + 1),
 				IID: l.iid, SupplyWID: l.supplyW, Quantity: l.qty,
-				Amount: amount, DistInfo: st.Dists[(did-1)%10],
+				Amount: amount, DistInfo: string(st.Dist(int(did-1) % 10)),
 			}
-			if err := tx.Insert(c.orderline, OrderLineKey(w, did, oid, uint32(i+1)), ol.Encode()); err != nil {
+			if err := tx.Insert(c.orderline, key(kb[:0], w, did, oid, uint32(i+1)), ol.Encode()); err != nil {
 				return err
 			}
 		}
-		_ = total * int64((1+wTax+district.Tax)*(1-cust.Discount)*10000) // order total, returned to the client in a full system
+		_ = total * int64((1+wTax+district.Tax())*(1-discount)*10000) // order total, returned to the client in a full system
 
 		return tx.Commit()
 	})
 }
 
-// lookupCustomer resolves a customer by id (40%) or last name (60%),
-// returning the primary key and decoded row. Used by Payment & OrderStatus.
-func (c *Client) lookupCustomer(tx *engine.Txn, r *rng.Rand, w, d uint32) ([]byte, Customer, error) {
+// keyBuf is one attempt's scratch for the keys it builds (key(kb[:0], …)):
+// the engine copies every key it keeps, so none needs its own allocation. It
+// holds both bounds of a scan: the lower in kb[:16], the upper in kb[16:].
+type keyBuf [32]byte
+
+// lookupCustomer resolves a customer by id (40%) or last name (60%) and
+// returns a view of its stored row. Used by Payment & OrderStatus.
+func (c *Client) lookupCustomer(tx *engine.Txn, r *rng.Rand, w, d uint32, kb *keyBuf) (CustomerRow, error) {
 	if r.IntRange(1, 100) <= 40 {
 		cid := uint32(r.NURand(1023, 1, c.cfg.Customers))
-		key := CustomerKey(w, d, cid)
-		row, err := tx.Get(c.customers, key)
-		if err != nil {
-			return nil, Customer{}, err
-		}
-		return key, DecodeCustomer(row), nil
+		return tx.Get(c.customers, key(kb[:0], w, d, cid))
 	}
 	last := rng.LastName(r.NURand(255, 0, lastNameMax(c.cfg.Customers)))
-	prefix := keys.String(keys.Uint32(keys.Uint32(nil, w), d), last)
-	var rows []Customer
+	prefix := keys.String(key(kb[:0], w, d), last)
+	rows := make([]CustomerRow, 0, 8)
 	err := tx.ScanIndex(c.customers, IdxCustomerByName, prefix, keys.PrefixEnd(prefix),
 		func(_, row []byte) bool {
-			rows = append(rows, DecodeCustomer(row))
+			rows = append(rows, row)
 			return true
 		})
 	if err != nil {
-		return nil, Customer{}, err
+		return nil, err
 	}
 	if len(rows) == 0 {
-		return nil, Customer{}, engine.ErrNotFound
+		return nil, engine.ErrNotFound
 	}
 	// Spec: position n/2 rounded up in first-name order (scan order).
-	cust := rows[(len(rows)-1)/2]
-	return CustomerKey(cust.WID, cust.DID, cust.ID), cust, nil
+	return rows[(len(rows)-1)/2], nil
 }
 
 // lastNameMax bounds the last-name number by what the loader generated for
@@ -264,53 +261,56 @@ func (c *Client) Payment(ctx *pcontext.Context, r *rng.Rand, w uint32) error {
 	return retry(func() error {
 		tx := c.e.Begin(ctx)
 		defer tx.Abort()
+		var kb keyBuf
 
-		wKey := WarehouseKey(w)
-		wRow, err := tx.Get(c.warehouses, wKey)
+		wRow, err := tx.Get(c.warehouses, key(kb[:0], w))
 		if err != nil {
 			return err
 		}
-		wh := DecodeWarehouse(wRow)
-		wh.YTD += amount
-		if err := tx.Update(c.warehouses, wKey, wh.Encode()); err != nil {
+		wh := WarehouseRow(bytes.Clone(wRow))
+		wh.SetYTD(wh.YTD() + amount)
+		if err := tx.Update(c.warehouses, key(kb[:0], w), wh); err != nil {
 			return err
 		}
 
-		dKey := DistrictKey(w, did)
-		dRow, err := tx.Get(c.districts, dKey)
+		dRow, err := tx.Get(c.districts, key(kb[:0], w, did))
 		if err != nil {
 			return err
 		}
-		district := DecodeDistrict(dRow)
-		district.YTD += amount
-		if err := tx.Update(c.districts, dKey, district.Encode()); err != nil {
+		district := DistrictRow(bytes.Clone(dRow))
+		district.SetYTD(district.YTD() + amount)
+		if err := tx.Update(c.districts, key(kb[:0], w, did), district); err != nil {
 			return err
 		}
 
-		cKey, cust, err := c.lookupCustomer(tx, r, cw, cd)
+		cRow, err := c.lookupCustomer(tx, r, cw, cd, &kb)
 		if err != nil {
 			return err
 		}
-		cust.Balance -= amount
-		cust.YTDPayment += amount
-		cust.PaymentCnt++
-		if cust.Credit == "BC" {
-			data := fmt.Sprintf("%d %d %d %d %d %d|%s", cust.ID, cust.DID, cust.WID, did, w, amount, cust.Data)
-			if len(data) > 500 {
-				data = data[:500]
+		cust := CustomerRow(bytes.Clone(cRow))
+		cid, cdid, cwid := cust.ID(), cust.DID(), cust.WID()
+		cust.SetBalance(cust.Balance() - amount)
+		cust.SetYTDPayment(cust.YTDPayment() + amount)
+		cust.SetPaymentCnt(cust.PaymentCnt() + 1)
+		if string(cust.Credit()) == "BC" {
+			// The one update that changes a row's length: re-encode it.
+			bc := DecodeCustomer(cust)
+			bc.Data = fmt.Sprintf("%d %d %d %d %d %d|%s", cid, cdid, cwid, did, w, amount, bc.Data)
+			if len(bc.Data) > 500 {
+				bc.Data = bc.Data[:500]
 			}
-			cust.Data = data
+			cust = bc.Encode()
 		}
-		if err := tx.Update(c.customers, cKey, cust.Encode()); err != nil {
+		if err := tx.Update(c.customers, key(kb[:0], cwid, cdid, cid), cust); err != nil {
 			return err
 		}
 
 		h := History{
-			CID: cust.ID, CDID: cust.DID, CWID: cust.WID, DID: did, WID: w,
-			Amount: amount, Data: wh.Name + "    " + district.Name,
+			CID: cid, CDID: cdid, CWID: cwid, DID: did, WID: w,
+			Amount: amount, Data: string(wh.Name()) + "    " + string(district.Name()),
 		}
 		seq := c.hseq.Add(1)
-		if err := tx.Insert(c.history, HistoryKey(cust.WID, cust.DID, cust.ID, 1<<32+seq), h.Encode()); err != nil {
+		if err := tx.Insert(c.history, keys.Uint64(key(kb[:0], cwid, cdid, cid), 1<<32+seq), h.Encode()); err != nil {
 			return err
 		}
 		return tx.Commit()
@@ -323,31 +323,31 @@ func (c *Client) OrderStatus(ctx *pcontext.Context, r *rng.Rand, w uint32) error
 	return retry(func() error {
 		tx := c.e.Begin(ctx)
 		defer tx.Abort()
+		var kb keyBuf
 
-		_, cust, err := c.lookupCustomer(tx, r, w, did)
+		cust, err := c.lookupCustomer(tx, r, w, did, &kb)
 		if err != nil {
 			return err
 		}
 		// Newest order: first hit of a descending scan over the
 		// by-customer index.
-		prefix := keys.Uint32(keys.Uint32(keys.Uint32(nil, w), did), cust.ID)
-		var latest *Order
+		prefix := key(kb[:0], w, did, cust.ID())
+		var latest OrderRow
 		err = tx.ScanIndexDesc(c.orders, IdxOrdersByCustomer, prefix, keys.PrefixEnd(prefix),
 			func(_, row []byte) bool {
-				o := DecodeOrder(row)
-				latest = &o
+				latest = row
 				return false
 			})
 		if err != nil {
 			return err
 		}
 		if latest != nil {
-			from := OrderLineKey(w, did, latest.ID, 0)
-			to := OrderLineKey(w, did, latest.ID+1, 0)
-			if err := tx.Scan(c.orderline, from, to, func(_, row []byte) bool {
-				_ = DecodeOrderLine(row)
-				return true
-			}); err != nil {
+			oid := latest.ID()
+			if err := tx.Scan(c.orderline, key(kb[:0], w, did, oid, 0), key(kb[16:16], w, did, oid+1, 0),
+				func(_, row []byte) bool {
+					_ = OrderLineRow(row).Amount() // the lines are returned to the client in a full system
+					return true
+				}); err != nil {
 				return err
 			}
 		}
@@ -362,66 +362,63 @@ func (c *Client) Delivery(ctx *pcontext.Context, r *rng.Rand, w uint32) error {
 	return retry(func() error {
 		tx := c.e.Begin(ctx)
 		defer tx.Abort()
+		var kb keyBuf
+		var lines []OrderLineRow
 		for d := 1; d <= c.cfg.Districts; d++ {
 			did := uint32(d)
 			// Oldest new_order in this district.
-			from := NewOrderKey(w, did, 0)
-			to := NewOrderKey(w, did+1, 0)
-			var oldest *NewOrderRow
-			if err := tx.Scan(c.neworder, from, to, func(_, row []byte) bool {
-				no := DecodeNewOrder(row)
-				oldest = &no
-				return false // first = oldest
-			}); err != nil {
+			var oldest NewOrderView
+			if err := tx.Scan(c.neworder, key(kb[:0], w, did, 0), key(kb[16:16], w, did+1, 0),
+				func(_, row []byte) bool {
+					oldest = row
+					return false // first = oldest
+				}); err != nil {
 				return err
 			}
 			if oldest == nil {
 				continue // district fully delivered
 			}
-			if err := tx.Delete(c.neworder, NewOrderKey(w, did, oldest.OID)); err != nil {
+			oid := oldest.OID()
+			if err := tx.Delete(c.neworder, key(kb[:0], w, did, oid)); err != nil {
 				return err
 			}
 
-			oKey := OrderKey(w, did, oldest.OID)
-			oRow, err := tx.Get(c.orders, oKey)
+			oRow, err := tx.Get(c.orders, key(kb[:0], w, did, oid))
 			if err != nil {
 				return err
 			}
-			ord := DecodeOrder(oRow)
-			ord.CarrierID = carrier
-			if err := tx.Update(c.orders, oKey, ord.Encode()); err != nil {
+			ord := OrderRow(bytes.Clone(oRow))
+			ord.SetCarrierID(carrier)
+			if err := tx.Update(c.orders, key(kb[:0], w, did, oid), ord); err != nil {
 				return err
 			}
 
-			var sum int64
-			olFrom := OrderLineKey(w, did, oldest.OID, 0)
-			olTo := OrderLineKey(w, did, oldest.OID+1, 0)
-			var olKeys [][]byte
-			var olRows []OrderLine
-			if err := tx.Scan(c.orderline, olFrom, olTo, func(k, row []byte) bool {
-				olKeys = append(olKeys, append([]byte(nil), k...))
-				olRows = append(olRows, DecodeOrderLine(row))
-				return true
-			}); err != nil {
+			lines = lines[:0]
+			if err := tx.Scan(c.orderline, key(kb[:0], w, did, oid, 0), key(kb[16:16], w, did, oid+1, 0),
+				func(_, row []byte) bool {
+					lines = append(lines, row)
+					return true
+				}); err != nil {
 				return err
 			}
-			for i, ol := range olRows {
-				sum += ol.Amount
-				ol.DeliveryD = 1
-				if err := tx.Update(c.orderline, olKeys[i], ol.Encode()); err != nil {
+			var sum int64
+			for _, row := range lines {
+				ol := OrderLineRow(bytes.Clone(row))
+				sum += ol.Amount()
+				ol.SetDeliveryD(1)
+				if err := tx.Update(c.orderline, key(kb[:0], w, did, oid, ol.Number()), ol); err != nil {
 					return err
 				}
 			}
 
-			cKey := CustomerKey(w, did, ord.CID)
-			cRow, err := tx.Get(c.customers, cKey)
+			cRow, err := tx.Get(c.customers, key(kb[:0], w, did, ord.CID()))
 			if err != nil {
 				return err
 			}
-			cust := DecodeCustomer(cRow)
-			cust.Balance += sum
-			cust.DeliveryCnt++
-			if err := tx.Update(c.customers, cKey, cust.Encode()); err != nil {
+			cust := CustomerRow(bytes.Clone(cRow))
+			cust.SetBalance(cust.Balance() + sum)
+			cust.SetDeliveryCnt(cust.DeliveryCnt() + 1)
+			if err := tx.Update(c.customers, key(kb[:0], w, did, ord.CID()), cust); err != nil {
 				return err
 			}
 		}
@@ -436,34 +433,33 @@ func (c *Client) StockLevel(ctx *pcontext.Context, r *rng.Rand, w uint32) error 
 	return retry(func() error {
 		tx := c.e.Begin(ctx)
 		defer tx.Abort()
+		var kb keyBuf
 
-		dRow, err := tx.Get(c.districts, DistrictKey(w, did))
+		dRow, err := tx.Get(c.districts, key(kb[:0], w, did))
 		if err != nil {
 			return err
 		}
-		district := DecodeDistrict(dRow)
+		nextOID := DistrictRow(dRow).NextOID()
 
 		lowOID := uint32(0)
-		if district.NextOID > 20 {
-			lowOID = district.NextOID - 20
+		if nextOID > 20 {
+			lowOID = nextOID - 20
 		}
 		seen := make(map[uint32]struct{})
-		from := OrderLineKey(w, did, lowOID, 0)
-		to := OrderLineKey(w, did, district.NextOID, 0)
-		if err := tx.Scan(c.orderline, from, to, func(_, row []byte) bool {
-			ol := DecodeOrderLine(row)
-			seen[ol.IID] = struct{}{}
-			return true
-		}); err != nil {
+		if err := tx.Scan(c.orderline, key(kb[:0], w, did, lowOID, 0), key(kb[16:16], w, did, nextOID, 0),
+			func(_, row []byte) bool {
+				seen[OrderLineRow(row).IID()] = struct{}{}
+				return true
+			}); err != nil {
 			return err
 		}
 		low := 0
 		for iid := range seen {
-			sRow, err := tx.Get(c.stock, StockKey(w, iid))
+			sRow, err := tx.Get(c.stock, key(kb[:0], w, iid))
 			if err != nil {
 				return err
 			}
-			if DecodeStock(sRow).Quantity < threshold {
+			if StockRow(sRow).Quantity() < threshold {
 				low++
 			}
 		}

@@ -1,7 +1,8 @@
 package tpch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"preemptdb/internal/engine"
 	"preemptdb/internal/pcontext"
@@ -45,6 +46,11 @@ type Q11Row struct {
 	Value   int64 // Σ supplycost × availqty, in cents
 }
 
+// compare orders by value desc, then part key.
+func (a Q11Row) compare(b Q11Row) int {
+	return cmp.Or(cmp.Compare(b.Value, a.Value), cmp.Compare(a.PartKey, b.PartKey))
+}
+
 // Q11 runs the query as one snapshot transaction; every record access polls
 // the context, so the aggregation is preemptible throughout.
 func (c *Client) Q11(ctx *pcontext.Context, p Q11Params) ([]Q11Row, error) {
@@ -55,13 +61,11 @@ func (c *Client) Q11(ctx *pcontext.Context, p Q11Params) ([]Q11Row, error) {
 	nationKey := uint32(0)
 	found := false
 	if err := tx.Scan(c.nations, nil, nil, func(_, row []byte) bool {
-		n := DecodeNation(row)
-		if n.Name == p.Nation {
-			nationKey = n.Key
+		if n := NationRow(row); string(n.Name()) == p.Nation {
+			nationKey = n.Key()
 			found = true
-			return false
 		}
-		return true
+		return !found
 	}); err != nil {
 		return nil, err
 	}
@@ -72,9 +76,8 @@ func (c *Client) Q11(ctx *pcontext.Context, p Q11Params) ([]Q11Row, error) {
 	// Suppliers in the nation (small set; build once).
 	inNation := make(map[uint32]bool)
 	if err := tx.Scan(c.suppliers, nil, nil, func(_, row []byte) bool {
-		s := DecodeSupplier(row)
-		if s.NationKey == nationKey {
-			inNation[s.Key] = true
+		if s := SupplierRow(row); s.NationKey() == nationKey {
+			inNation[s.Key()] = true
 		}
 		return true
 	}); err != nil {
@@ -85,12 +88,12 @@ func (c *Client) Q11(ctx *pcontext.Context, p Q11Params) ([]Q11Row, error) {
 	values := make(map[uint32]int64)
 	var total int64
 	if err := tx.Scan(c.partsupp, nil, nil, func(_, row []byte) bool {
-		ps := DecodePartSupp(row)
-		if !inNation[ps.SuppKey] {
+		ps := PartSuppRow(row)
+		if !inNation[ps.SuppKey()] {
 			return true
 		}
-		v := ps.SupplyCost * int64(ps.AvailQty)
-		values[ps.PartKey] += v
+		v := ps.SupplyCost() * int64(ps.AvailQty())
+		values[ps.PartKey()] += v
 		total += v
 		return true
 	}); err != nil {
@@ -107,12 +110,7 @@ func (c *Client) Q11(ctx *pcontext.Context, p Q11Params) ([]Q11Row, error) {
 			out = append(out, Q11Row{PartKey: pk, Value: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		return out[i].PartKey < out[j].PartKey
-	})
+	slices.SortFunc(out, Q11Row.compare)
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
@@ -159,11 +157,6 @@ func (c *Client) Q11Reference(p Q11Params) []Q11Row {
 			out = append(out, Q11Row{PartKey: pk, Value: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		return out[i].PartKey < out[j].PartKey
-	})
+	slices.SortFunc(out, Q11Row.compare)
 	return out
 }

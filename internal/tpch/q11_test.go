@@ -80,8 +80,9 @@ func TestQ11ReadOnly(t *testing.T) {
 }
 
 func BenchmarkQ11(b *testing.B) {
-	c := loadedClient(b)
+	c := loadedAt(b, ledgerScale)
 	r := rng.New(2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Q11(nil, RandomQ11Params(r)); err != nil {

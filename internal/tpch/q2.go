@@ -1,10 +1,14 @@
 package tpch
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"errors"
+	"slices"
 	"strings"
 
 	"preemptdb/internal/engine"
+	"preemptdb/internal/keys"
 	"preemptdb/internal/pcontext"
 	"preemptdb/internal/rng"
 	"preemptdb/internal/sched"
@@ -96,13 +100,11 @@ func (c *Client) Q2Ex(ctx *pcontext.Context, p Q2Params, exec Q2Exec) ([]Q2Row, 
 	regionKey := uint32(0)
 	found := false
 	if err := tx.Scan(c.regions, nil, nil, func(_, row []byte) bool {
-		r := DecodeRegion(row)
-		if r.Name == p.Region {
-			regionKey = r.Key
+		if r := RegionRow(row); string(r.Name()) == p.Region {
+			regionKey = r.Key()
 			found = true
-			return false
 		}
-		return true
+		return !found
 	}); err != nil {
 		return nil, err
 	}
@@ -111,61 +113,59 @@ func (c *Client) Q2Ex(ctx *pcontext.Context, p Q2Params, exec Q2Exec) ([]Q2Row, 
 	}
 
 	// The morsel body: outer scan over one PART range with the size/type
-	// predicate, nested min-supplycost block per qualifying part. It only
-	// touches sub and morsel-local state, so morsels run concurrently. Rows
-	// accumulate in part-key order within each morsel, and morsels merge in
-	// range order, so the pre-sort row order matches the sequential plan.
-	body := func(sub *engine.Txn, m engine.Morsel) ([]Q2Row, error) {
-		var rows []Q2Row
-		nestedBlocks := 0
+	// predicate, nested min-supplycost block per qualifying part, all on row
+	// views — nothing is copied out of a row until the result is cut. It only
+	// touches sub and morsel-local state, so morsels run concurrently.
+	// Candidates accumulate in part-key order within each morsel, and morsels
+	// merge in range order, so the pre-sort order matches the sequential plan.
+	body := func(sub *engine.Txn, m engine.Morsel) ([]q2Cand, error) {
+		var (
+			cands        []q2Cand
+			part         PartRow
+			first        int // cands[first:] are the current part's min-cost suppliers
+			nestedErr    error
+			kb           [20]byte // scratch for the nested block's keys
+			nestedBlocks int
+		)
+		nested := func(_, psRow []byte) bool {
+			ps := PartSuppRow(psRow)
+			supp, err := sub.Get(c.suppliers, keys.Uint32(kb[16:16], ps.SuppKey()))
+			var nat []byte
+			if err == nil {
+				nat, err = sub.Get(c.nations, keys.Uint32(kb[16:16], SupplierRow(supp).NationKey()))
+			}
+			if err != nil {
+				if errors.Is(err, engine.ErrNotFound) {
+					return true // no join partner
+				}
+				nestedErr = err // cancel or deadline: unwind, keep nothing
+				return false
+			}
+			if NationRow(nat).RegionKey() != regionKey {
+				return true
+			}
+			cost := ps.SupplyCost()
+			if len(cands) > first && cost != cands[first].cost {
+				if cost > cands[first].cost {
+					return true
+				}
+				cands = cands[:first] // new minimum
+			}
+			cands = append(cands, q2Cand{part: part, supp: supp, nat: nat, cost: cost})
+			return true
+		}
 		err := sub.Scan(c.parts, m.From, m.To, func(_, row []byte) bool {
-			part := DecodePart(row)
-			if part.Size != p.Size || !strings.HasSuffix(part.Type, p.TypeSuffix) {
+			part = row
+			if part.Size() != p.Size || !part.TypeHasSuffix(p.TypeSuffix) {
 				return true
 			}
-
-			// --- nested query block: min supplycost within the region ---
 			nestedBlocks++
-			type cand struct {
-				supp Supplier
-				nat  Nation
-				cost int64
-			}
-			minCost := int64(-1)
-			var cands []cand
-			from := PartSuppKey(part.Key, 0)
-			to := PartSuppKey(part.Key+1, 0)
-			sub.Scan(c.partsupp, from, to, func(_, psRow []byte) bool {
-				ps := DecodePartSupp(psRow)
-				sRow, err := sub.Get(c.suppliers, SupplierKey(ps.SuppKey))
-				if err != nil {
-					return true
-				}
-				supp := DecodeSupplier(sRow)
-				nRow, err := sub.Get(c.nations, NationKey(supp.NationKey))
-				if err != nil {
-					return true
-				}
-				nat := DecodeNation(nRow)
-				if nat.RegionKey != regionKey {
-					return true
-				}
-				if minCost < 0 || ps.SupplyCost < minCost {
-					minCost = ps.SupplyCost
-				}
-				cands = append(cands, cand{supp: supp, nat: nat, cost: ps.SupplyCost})
-				return true
-			})
-			// --- end nested query block ---
-
-			for _, cd := range cands {
-				if cd.cost == minCost {
-					rows = append(rows, Q2Row{
-						AcctBal: cd.supp.AcctBal, SuppName: cd.supp.Name,
-						Nation: cd.nat.Name, PartKey: part.Key, Mfgr: part.Mfgr,
-						Cost: cd.cost,
-					})
-				}
+			first = len(cands)
+			from := keys.Uint32(keys.Uint32(kb[:0], part.Key()), 0)
+			to := keys.Uint32(keys.Uint32(kb[8:8], part.Key()+1), 0)
+			err := sub.Scan(c.partsupp, from, to, nested)
+			if nestedErr = cmp.Or(nestedErr, err); nestedErr != nil {
+				return false
 			}
 
 			// Handcrafted yield point, placed exactly where the paper put it:
@@ -176,42 +176,65 @@ func (c *Client) Q2Ex(ctx *pcontext.Context, p Q2Params, exec Q2Exec) ([]Q2Row, 
 			}
 			return true
 		})
-		return rows, err
+		return cands, cmp.Or(nestedErr, err) // on error ParallelScan drops the partial result
 	}
 
 	morsels := exec.Morsels
 	if morsels < 1 {
 		morsels = 1
 	}
-	out, err := engine.ParallelScan(tx, c.parts, nil, nil,
+	cands, err := engine.ParallelScan(tx, c.parts, nil, nil,
 		engine.ParallelScanConfig{Morsels: morsels, Spawn: sched.MorselSpawner(ctx)},
 		body,
-		func(acc, part []Q2Row) []Q2Row { return append(acc, part...) })
+		func(acc, part []q2Cand) []q2Cand { return append(acc, part...) })
 	if err != nil {
 		return nil, err
 	}
 
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		// Spec ordering: s_acctbal desc, n_name, s_name, p_partkey.
-		if a.AcctBal != b.AcctBal {
-			return a.AcctBal > b.AcctBal
-		}
-		if a.Nation != b.Nation {
-			return a.Nation < b.Nation
-		}
-		if a.SuppName != b.SuppName {
-			return a.SuppName < b.SuppName
-		}
-		return a.PartKey < b.PartKey
-	})
-	if len(out) > 100 {
-		out = out[:100]
+	slices.SortFunc(cands, q2Cand.compare)
+	if len(cands) > 100 {
+		cands = cands[:100]
+	}
+	// The result owns its strings: no engine memory leaves the transaction.
+	out := slices.Grow([]Q2Row(nil), len(cands)) // nil when empty, like Q2Reference
+	for _, cd := range cands {
+		out = append(out, Q2Row{
+			AcctBal: cd.supp.AcctBal(), SuppName: string(cd.supp.Name()),
+			Nation: string(cd.nat.Name()), PartKey: cd.part.Key(), Mfgr: string(cd.part.Mfgr()),
+			Cost: cd.cost,
+		})
 	}
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// q2Cand is one min-cost (part, supplier) pair of Q2, held as views of the
+// joined rows until the result is sorted and cut.
+type q2Cand struct {
+	part PartRow
+	supp SupplierRow
+	nat  NationRow
+	cost int64
+}
+
+// compare is the spec ordering: s_acctbal desc, n_name, s_name, p_partkey.
+func (a q2Cand) compare(b q2Cand) int {
+	return cmp.Or(
+		cmp.Compare(b.supp.AcctBal(), a.supp.AcctBal()),
+		bytes.Compare(a.nat.Name(), b.nat.Name()),
+		bytes.Compare(a.supp.Name(), b.supp.Name()),
+		cmp.Compare(a.part.Key(), b.part.Key()))
+}
+
+// compare is q2Cand.compare over materialised rows (Q2Reference).
+func (a Q2Row) compare(b Q2Row) int {
+	return cmp.Or(
+		cmp.Compare(b.AcctBal, a.AcctBal),
+		strings.Compare(a.Nation, b.Nation),
+		strings.Compare(a.SuppName, b.SuppName),
+		cmp.Compare(a.PartKey, b.PartKey))
 }
 
 // Q2Reference recomputes Q2 with a naive full-materialization plan, used by
@@ -274,19 +297,7 @@ func (c *Client) Q2Reference(p Q2Params) []Q2Row {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.AcctBal != b.AcctBal {
-			return a.AcctBal > b.AcctBal
-		}
-		if a.Nation != b.Nation {
-			return a.Nation < b.Nation
-		}
-		if a.SuppName != b.SuppName {
-			return a.SuppName < b.SuppName
-		}
-		return a.PartKey < b.PartKey
-	})
+	slices.SortFunc(out, Q2Row.compare)
 	if len(out) > 100 {
 		out = out[:100]
 	}

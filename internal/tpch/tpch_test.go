@@ -13,11 +13,16 @@ import (
 
 var testScale = ScaleConfig{Parts: 600, Suppliers: 40, SuppsPerPart: 4, Seed: 5}
 
-func loadedClient(t testing.TB) *Client {
+func loadedClient(t testing.TB) *Client { return loadedAt(t, testScale) }
+
+// ledgerScale is what htap_mix loads: per-scanned-row costs only show here.
+var ledgerScale = ScaleConfig{Parts: 60000, Suppliers: 400, Seed: 5}
+
+func loadedAt(t testing.TB, scale ScaleConfig) *Client {
 	t.Helper()
 	e := engine.New(engine.Config{})
 	CreateSchema(e)
-	cfg, err := Load(e, testScale)
+	cfg, err := Load(e, scale)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -227,8 +232,9 @@ func TestCodecRoundtrips(t *testing.T) {
 }
 
 func BenchmarkQ2(b *testing.B) {
-	c := loadedClient(b)
+	c := loadedAt(b, ledgerScale)
 	r := rng.New(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := RandomQ2Params(r)
