@@ -10,9 +10,6 @@
 // Run -experiment help (or any unknown name) for the experiment list; it is
 // generated from the same registry that drives dispatch, so the help text,
 // the dispatch switch, and the "all" sequence cannot drift apart.
-// parallelscan and interleave also write their results to -scanout
-// (BENCH_scan.json) and -interleaveout (BENCH_interleave.json) in the same
-// envelope as BENCH_commit.json.
 package main
 
 import (
@@ -27,10 +24,7 @@ import (
 
 // flags shared by the experiment runners (parsed once in main).
 type flags struct {
-	duration      time.Duration
-	scanout       string
-	interleaveout string
-	traceout      string
+	traceout string
 }
 
 // experiment is one registry entry: the -experiment id, a one-line help
@@ -77,32 +71,6 @@ var experiments = []experiment{
 		func(opt bench.Options, fl flags) error { _, err := bench.Fig13(opt); return err }},
 	{"shed", "deadline-based load shedding under overload", true,
 		func(opt bench.Options, fl flags) error { _, err := bench.Shed(opt); return err }},
-	{"parallelscan", "morsel-parallel Q2 scaling; writes -scanout", true,
-		func(opt bench.Options, fl flags) error {
-			res, err := bench.ParallelScan(opt, nil)
-			if err != nil || fl.scanout == "" {
-				return err
-			}
-			cmd := fmt.Sprintf("preemptbench -experiment parallelscan -duration %v", fl.duration)
-			notes := []string{
-				fmt.Sprintf("Host exposes %d CPU(s); wall-clock speedup from morsel parallelism requires spare physical cores — on a single-CPU host helpers timeshare one core and speedup is bounded at ~1x.", res.NumCPU),
-				"hi_* latencies: end-to-end Payment latency under PolicyPreempt while scans run continuously; parallel scans must keep p99 within noise of sequential (every helper is independently preemptible).",
-			}
-			return bench.WriteScanJSON(fl.scanout, cmd, res, notes)
-		}},
-	{"interleave", "K-way context multiplexing sweep (K=2/4/8); writes -interleaveout", true,
-		func(opt bench.Options, fl flags) error {
-			res, err := bench.Interleave(opt)
-			if err != nil || fl.interleaveout == "" {
-				return err
-			}
-			cmd := fmt.Sprintf("preemptbench -experiment interleave -duration %v", fl.duration)
-			notes := []string{
-				fmt.Sprintf("Host exposes %d CPU(s); the simulated stall boundaries carry no real memory-stall latency, so on CPU-starved hosts K-way rotation is pure switch overhead and q2_tps is expected flat-to-slightly-down as K grows — the reproduction target is the flat hi_p99_ns column (interleaving must not move the high-priority tail) plus non-zero stall_yields/interleave_switches only at K>2.", res.NumCPU),
-				"Each point: mixed TP/AP load under PolicyPreempt — low-priority Q2 batch work filling K-1 slots per core, batched high-priority NewOrder/Payment arrivals preempting via the distinct preemptive context.",
-			}
-			return bench.WriteInterleaveJSON(fl.interleaveout, cmd, res, notes)
-		}},
 }
 
 // experimentIDs renders the -experiment value list (registry order + all).
@@ -132,8 +100,6 @@ func main() {
 		duration       = flag.Duration("duration", 3*time.Second, "measurement window per data point")
 		workers        = flag.Int("workers", 0, "simulated worker cores (0 = one per spare physical CPU)")
 		arrival        = flag.Duration("arrival", time.Millisecond, "high-priority batch arrival interval")
-		scanout        = flag.String("scanout", "BENCH_scan.json", "output path for the parallelscan experiment's JSON ('' disables)")
-		interleaveout  = flag.String("interleaveout", "BENCH_interleave.json", "output path for the interleave experiment's JSON ('' disables)")
 		traceout       = flag.String("trace", "", "write the trace experiment's scheduling events as Chrome trace-event JSON (perfetto-loadable) to this path")
 	)
 	flag.Parse()
@@ -144,12 +110,7 @@ func main() {
 		ArrivalInterval: *arrival,
 		Out:             os.Stdout,
 	}
-	fl := flags{
-		duration:      *duration,
-		scanout:       *scanout,
-		interleaveout: *interleaveout,
-		traceout:      *traceout,
-	}
+	fl := flags{traceout: *traceout}
 
 	byID := make(map[string]experiment, len(experiments))
 	for _, e := range experiments {

@@ -1,8 +1,7 @@
 // Command htap demonstrates the paper's headline scenario on the public
 // API: long, low-priority analytical reports share workers with short,
-// high-priority sales transactions. The report runs as a morsel-parallel
-// scan, so idle workers steal pieces of it while every piece remains
-// independently preemptible. It runs the same mixed workload under
+// high-priority sales transactions. The report is a plain full-table scan,
+// preemptible at every row. It runs the same mixed workload under
 // PolicyWait and PolicyPreempt and prints the high-priority latency
 // distribution of each, reproducing the shape of the paper's Figure 1.
 package main
@@ -26,7 +25,7 @@ const (
 
 func key(i uint64) []byte { return binary.BigEndian.AppendUint64(nil, i) }
 
-func runPolicy(policy preemptdb.Policy) (lat []time.Duration, scanned, restocks, stolen uint64) {
+func runPolicy(policy preemptdb.Policy) (lat []time.Duration, scanned, restocks uint64) {
 	db, err := preemptdb.Open("", preemptdb.Config{
 		Workers: 4,
 		Policy:  policy,
@@ -63,10 +62,8 @@ func runPolicy(policy preemptdb.Policy) (lat []time.Duration, scanned, restocks,
 	var rowsScanned atomic.Uint64
 	report := func(tx *preemptdb.Txn) error {
 		for r := 0; r < reportLen; r++ {
-			// Morsel-parallel full scan: idle workers steal ranges of the
-			// table and run them under the report's snapshot; the visit
-			// function executes concurrently, hence the atomic counter.
-			if err := tx.ParallelScan("inventory", nil, nil, 8, func(k, v []byte) bool {
+			// The counter is read by the main goroutine, hence atomic.
+			if err := tx.Scan("inventory", nil, nil, func(k, v []byte) bool {
 				rowsScanned.Add(1)
 				return true
 			}); err != nil {
@@ -132,7 +129,7 @@ func runPolicy(policy preemptdb.Policy) (lat []time.Duration, scanned, restocks,
 	close(stop)
 	<-reportDone
 	<-restockDone
-	return lat, rowsScanned.Load(), restocks, db.Stats().MorselsStolen
+	return lat, rowsScanned.Load(), restocks
 }
 
 func percentile(lat []time.Duration, p float64) time.Duration {
@@ -147,19 +144,18 @@ func percentile(lat []time.Duration, p float64) time.Duration {
 
 func main() {
 	fmt.Println("HTAP mix: low-priority full-table reports + restocking writer + high-priority orders")
-	fmt.Printf("%-10s %10s %10s %10s %14s %10s %8s\n", "policy", "p50", "p90", "p99", "report rows/s", "restocks", "stolen")
+	fmt.Printf("%-10s %10s %10s %10s %14s %10s\n", "policy", "p50", "p90", "p99", "report rows/s", "restocks")
 	for _, policy := range []preemptdb.Policy{preemptdb.PolicyWait, preemptdb.PolicyPreempt} {
 		start := time.Now()
-		lat, scanned, restocks, stolen := runPolicy(policy)
+		lat, scanned, restocks := runPolicy(policy)
 		elapsed := time.Since(start).Seconds()
-		fmt.Printf("%-10s %10v %10v %10v %14.0f %10d %8d\n", policy,
+		fmt.Printf("%-10s %10v %10v %10v %14.0f %10d\n", policy,
 			percentile(lat, 50).Round(time.Microsecond),
 			percentile(lat, 90).Round(time.Microsecond),
 			percentile(lat, 99).Round(time.Microsecond),
-			float64(scanned)/elapsed, restocks, stolen)
+			float64(scanned)/elapsed, restocks)
 	}
 	fmt.Println("\nPreemptDB serves orders in microseconds-to-milliseconds while the")
-	fmt.Println("morsel-parallel report keeps (almost) the same scan throughput —")
-	fmt.Println("wait-based scheduling makes orders queue behind entire reports,")
-	fmt.Println("and every stolen morsel is preempted independently.")
+	fmt.Println("report keeps (almost) the same scan throughput — wait-based")
+	fmt.Println("scheduling makes orders queue behind entire reports.")
 }

@@ -163,12 +163,7 @@ type MixedResult struct {
 	StarvationSkips uint64
 	PassiveSwitches uint64
 	ActiveSwitches  uint64
-	// StallYields / InterleaveSwitches count K-way stall-boundary rotations
-	// and resumptions of stall-parked transactions (zero at the default two
-	// contexts per core).
-	StallYields        uint64
-	InterleaveSwitches uint64
-	DroppedHi          uint64 // generated but never admitted before the run ended
+	DroppedHi       uint64 // generated but never admitted before the run ended
 
 	// ShedExpired / ShedCanceled count queued requests the workers dropped
 	// at dispatch: deadline already passed / canceled by the submitter.
@@ -243,16 +238,8 @@ type MixedConfig struct {
 	YieldInterval       uint64
 	StarvationThreshold float64
 	HiBatchPerInterval  int
-	// ContextsPerCore > 2 turns each worker into a K-way stall-hiding
-	// executor (the interleave experiment); 0 keeps the scheduler default.
-	ContextsPerCore int
-	// LoQueueSize overrides the fixture's low-priority queue depth (K-way
-	// runs need more than the default one queued Q2 per worker so the extra
-	// slots have work to pick up).
+	// LoQueueSize overrides the fixture's low-priority queue depth.
 	LoQueueSize int
-	// StallInterval overrides the stall-boundary rotation period (0: the
-	// scheduler default).
-	StallInterval uint64
 	// HandcraftedYieldEvery enables the workload-level Q2 yield point (the
 	// paper uses every 1000 nested blocks) when > 0.
 	HandcraftedYieldEvery int
@@ -303,12 +290,10 @@ func (f *Fixture) RunMixed(cfg MixedConfig) MixedResult {
 	s := sched.New(sched.Config{
 		Policy:              cfg.Policy,
 		Workers:             cfg.Workers,
-		ContextsPerCore:     cfg.ContextsPerCore,
 		HiQueueSize:         cfg.HiQueueSize,
 		LoQueueSize:         cfg.LoQueueSize,
 		YieldInterval:       cfg.YieldInterval,
 		StarvationThreshold: cfg.StarvationThreshold,
-		StallInterval:       cfg.StallInterval,
 	})
 	col := &collector{}
 	warehouses := f.TPCC.Scale().Warehouses
@@ -426,15 +411,13 @@ func (f *Fixture) RunMixed(cfg MixedConfig) MixedResult {
 	s.Stop()
 
 	res := MixedResult{
-		Policy:             cfg.Policy.String(),
-		InterruptsSent:     s.InterruptsSent(),
-		StarvationSkips:    s.StarvationSkips(),
-		StallYields:        s.StallYields(),
-		InterleaveSwitches: s.InterleaveSwitches(),
-		DroppedHi:          dropped,
-		ShedExpired:        s.ShedExpired(),
-		ShedCanceled:       s.ShedCanceled(),
-		HiDeadlineMisses:   hiMisses.Load(),
+		Policy:           cfg.Policy.String(),
+		InterruptsSent:   s.InterruptsSent(),
+		StarvationSkips:  s.StarvationSkips(),
+		DroppedHi:        dropped,
+		ShedExpired:      s.ShedExpired(),
+		ShedCanceled:     s.ShedCanceled(),
+		HiDeadlineMisses: hiMisses.Load(),
 	}
 	for _, w := range s.Workers() {
 		for i := 0; i < w.Core().NumContexts(); i++ {

@@ -28,45 +28,6 @@ func TestSmokeFig1(t *testing.T) {
 	}
 }
 
-// TestSmokeParallelScan exercises the parallelscan experiment end to end at a
-// small scale; CI runs it in short mode as the benchmark smoke step.
-func TestSmokeParallelScan(t *testing.T) {
-	opt := Options{
-		Workers:  2,
-		Duration: 200 * time.Millisecond,
-		TPCH:     tpch.ScaleConfig{Parts: 4000, Suppliers: 100},
-		Out:      os.Stderr,
-	}
-	res, err := ParallelScan(opt, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	if res.Sequential.Queries == 0 {
-		t.Fatal("baseline ran no queries")
-	}
-	for _, p := range res.Points {
-		if p.Queries != res.Sequential.Queries {
-			t.Fatalf("point %+v ran %d queries, baseline %d — makespans not comparable",
-				p, p.Queries, res.Sequential.Queries)
-		}
-	}
-	if res.HiSeq.Count == 0 || res.HiPar.Count == 0 {
-		t.Fatal("hi-priority phases recorded nothing")
-	}
-	// The per-phase decomposition rides along in the artifact: end-to-end and
-	// queue-wait summaries must have samples in both scan modes.
-	if res.HiSeqPhases.Total.Count == 0 || res.HiParPhases.Total.Count == 0 {
-		t.Fatalf("hi-priority phase decomposition empty: seq=%d par=%d",
-			res.HiSeqPhases.Total.Count, res.HiParPhases.Total.Count)
-	}
-	if res.HiSeqPhases.QueueWait.Count == 0 || res.HiSeqPhases.Exec.Count == 0 {
-		t.Fatal("hi-priority phase decomposition missing queue_wait/exec samples")
-	}
-}
-
 // TestSmokeTraceExport: the trace experiment's per-core rings render to a
 // valid Chrome trace-event document on disk.
 func TestSmokeTraceExport(t *testing.T) {

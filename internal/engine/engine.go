@@ -212,21 +212,6 @@ func (e *Engine) IndexRestarts() uint64 {
 	return total
 }
 
-// PartitionRestarts returns the cumulative whole-sample restart count of the
-// morsel partition helper across every table, surfaced separately from
-// IndexRestarts because one partition restart re-reads a whole level
-// frontier.
-func (e *Engine) PartitionRestarts() uint64 {
-	var total uint64
-	for _, t := range e.tablesByID() {
-		total += t.primary.PartitionRestarts()
-		t.forEachSecondary(func(si *secondaryIndex) {
-			total += si.tree.PartitionRestarts()
-		})
-	}
-	return total
-}
-
 // KeyExtractor derives a secondary-index key from a row. Secondary indexes
 // are non-unique: the engine appends the primary key to the extracted key as
 // a uniquifier, so several rows may share an extracted key and scans stay in
@@ -373,10 +358,9 @@ func (t *Table) forEachSecondary(fn func(*secondaryIndex)) {
 //
 // Because everything pooled here (WAL buffer, snapshot slot, and the pooled
 // Txn that Begin caches per context) hangs off the Context rather than the
-// core or worker, K-way multiplexing needs no extra engine state: a core
-// interleaving K transactions at stall boundaries runs each on its own
-// context, so each sees its own buffers — attach every slot of a K-way core
-// (the scheduler facade does) and the isolation falls out of CLS.
+// core or worker, a preempted transaction and the high-priority work that
+// runs over it on the same core see separate buffers — attach every context
+// of a core (the scheduler facade does) and the isolation falls out of CLS.
 func (e *Engine) AttachContext(ctx *pcontext.Context) {
 	if ctx == nil {
 		return

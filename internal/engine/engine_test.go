@@ -363,6 +363,24 @@ func TestVacuumTrimsChains(t *testing.T) {
 	if v, _ := r.Get(tab, []byte("k")); string(v) != "v10" {
 		t.Fatalf("latest lost: %q", v)
 	}
+	r.Abort()
+
+	// A long reader pins its snapshot: the version it reads survives every
+	// vacuum until it finishes, and only then is the chain reclaimable.
+	long := e.Begin(pcontext.Detached())
+	for i := 11; i <= 15; i++ {
+		tx := e.Begin(nil)
+		tx.Update(tab, []byte("k"), []byte(fmt.Sprintf("v%d", i)))
+		tx.Commit()
+	}
+	e.Vacuum(nil)
+	if v, _ := long.Get(tab, []byte("k")); string(v) != "v10" {
+		t.Fatalf("vacuum reclaimed under a long reader: read %q, want v10", v)
+	}
+	long.Abort()
+	if reclaimed := e.Vacuum(nil); reclaimed != 5 {
+		t.Fatalf("reclaimed %d versions after the reader finished, want 5", reclaimed)
+	}
 }
 
 func TestAttachContextIdempotent(t *testing.T) {
@@ -460,8 +478,8 @@ func TestSerializableEngineMode(t *testing.T) {
 }
 
 func TestKWayContextPoolingIsolated(t *testing.T) {
-	// Every slot of a K-way core owns its own pooled state: attaching all
-	// contexts of one core must produce K distinct WAL buffers, snapshot
+	// Every context of a core owns its own pooled state: attaching all
+	// contexts of one core must produce distinct WAL buffers, snapshot
 	// slots, and cached transactions, and each context's pooled Txn must be
 	// reused by — and only by — that context.
 	e := newEngine()

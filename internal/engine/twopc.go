@@ -23,9 +23,6 @@ import (
 // satisfy IsConflict as usual.
 func (t *Txn) PrepareCommit(gid uint64) error {
 	t0 := clock.Nanos()
-	if t.readonly {
-		return ErrTxnReadOnly
-	}
 	if t.done {
 		return mvcc.ErrTxnDone
 	}

@@ -23,12 +23,6 @@ type Txn struct {
 	logBuf *wal.Buffer
 	done   bool
 
-	// readonly marks a morsel-helper reader sharing a parent transaction's
-	// snapshot (see ParallelScan): every write method refuses, and its
-	// lifecycle belongs to the operator, so Commit refuses and Abort is a
-	// no-op.
-	readonly bool
-
 	// guestSlot is non-nil on guest transactions — transactions begun on a
 	// context owned by a different engine (cross-shard participants). The
 	// slot was registered with THIS engine's oracle just for this
@@ -124,7 +118,6 @@ func (e *Engine) BeginIso(ctx *pcontext.Context, iso mvcc.IsolationLevel) *Txn {
 	buf.Reset()
 	t.logBuf = buf
 	t.done = false
-	t.readonly = false
 	t.inner = e.oracle.Begin(ctx, iso, slot)
 	return t
 }
@@ -236,9 +229,6 @@ func (t *Txn) Get(table *Table, key []byte) ([]byte, error) {
 // to this transaction already exists, and with ErrWriteConflict when an
 // in-flight or snapshot-invisible newer row contends.
 func (t *Txn) Insert(table *Table, key, value []byte) error {
-	if t.readonly {
-		return ErrTxnReadOnly
-	}
 	if err := t.eng.log.Err(); err != nil {
 		return err // WAL failed: the engine is read-only, refuse before buffering
 	}
@@ -260,9 +250,6 @@ func (t *Txn) Insert(table *Table, key, value []byte) error {
 
 // Update overwrites an existing visible row.
 func (t *Txn) Update(table *Table, key, value []byte) error {
-	if t.readonly {
-		return ErrTxnReadOnly
-	}
 	if err := t.eng.log.Err(); err != nil {
 		return err
 	}
@@ -282,9 +269,6 @@ func (t *Txn) Update(table *Table, key, value []byte) error {
 
 // Put inserts or overwrites the row (upsert).
 func (t *Txn) Put(table *Table, key, value []byte) error {
-	if t.readonly {
-		return ErrTxnReadOnly
-	}
 	if err := t.eng.log.Err(); err != nil {
 		return err
 	}
@@ -308,9 +292,6 @@ func (t *Txn) Put(table *Table, key, value []byte) error {
 
 // Delete tombstones a visible row.
 func (t *Txn) Delete(table *Table, key []byte) error {
-	if t.readonly {
-		return ErrTxnReadOnly
-	}
 	if err := t.eng.log.Err(); err != nil {
 		return err
 	}
@@ -510,9 +491,6 @@ func (t *Txn) finish(step mvcc.Step) (mvccErr, ioErr error) {
 // simply not replayed — but callers mirroring the log elsewhere must treat a
 // non-nil return as "committed here, not durable".
 func (t *Txn) Commit() error {
-	if t.readonly {
-		return ErrTxnReadOnly // morsel readers are finished by ParallelScan
-	}
 	if t.done {
 		return mvcc.ErrTxnDone
 	}
@@ -538,11 +516,9 @@ func (t *Txn) Commit() error {
 }
 
 // Abort rolls the transaction back. Abort after Commit (or a second Abort)
-// is a harmless no-op so callers can `defer tx.Abort()`. On a read-only
-// morsel reader it is also a no-op: the reader's lifecycle belongs to
-// ParallelScan, and counting it as an engine abort would pollute the stats.
+// is a harmless no-op so callers can `defer tx.Abort()`.
 func (t *Txn) Abort() {
-	if t.done || t.readonly {
+	if t.done {
 		return
 	}
 	t.done = true

@@ -193,10 +193,6 @@ type Tree[V any] struct {
 	root     atomic.Pointer[node[V]]
 	size     atomic.Int64
 	restarts atomic.Uint64
-	// partitionRestarts counts whole-sample restarts of the Partition helper
-	// separately from point/scan restarts: a partition retry re-reads an
-	// entire level frontier, so the two signals have very different costs.
-	partitionRestarts atomic.Uint64
 }
 
 func newNode[V any](leaf bool, v *view[V]) *node[V] {
@@ -219,10 +215,6 @@ func (t *Tree[V]) Len() int { return int(t.size.Load()) }
 // observability hook for contention experiments.
 func (t *Tree[V]) Restarts() uint64 { return t.restarts.Load() }
 
-// PartitionRestarts returns the cumulative number of whole-sample restarts
-// taken by Partition, surfaced separately from Restarts for observability.
-func (t *Tree[V]) PartitionRestarts() uint64 { return t.partitionRestarts.Load() }
-
 // descend is the tree's one optimistic root-to-leaf traversal. It returns the
 // leaf covering key (nil = leftmost) or, with below set, the leaf holding the
 // keys immediately below key (nil = +∞, the rightmost leaf): at each inner
@@ -236,8 +228,7 @@ func (t *Tree[V]) PartitionRestarts() uint64 { return t.partitionRestarts.Load()
 // the node it split).
 //
 // Every node visit polls ctx (ctx may be nil), so the descent is preemptible
-// between any two nodes; every hop to a child is also a stall mark, the
-// dereference of a fresh node the paper's hardware would miss the cache on.
+// between any two nodes.
 func (t *Tree[V]) descend(ctx *pcontext.Context, key []byte, below bool) (n *node[V], v *view[V], ver uint64, fence []byte) {
 	for ; ; t.restarts.Add(1) {
 		// The root pointer is re-checked after sampling the version: root
@@ -271,7 +262,6 @@ func (t *Tree[V]) descend(ctx *pcontext.Context, key []byte, below bool) (n *nod
 			if below && idx > 0 {
 				fence = v.key(idx - 1)
 			}
-			ctx.YieldStall()
 			// v is immutable, so child is a live node whatever happened to n
 			// since; whether it is still the *right* node is what the coupled
 			// validation decides: n must be unchanged after the child's
@@ -479,7 +469,6 @@ func (t *Tree[V]) Scan(ctx *pcontext.Context, from, to []byte, fn ScanFunc[V]) {
 	}
 	for {
 		ctx.Poll()
-		ctx.YieldStall() // leaf-to-leaf hop: a fresh cache line per leaf
 		if ctx.Err() != nil {
 			// Lifecycle canceled or past deadline: abandon the scan at the
 			// leaf boundary; the caller observes ctx.Err itself.
@@ -529,7 +518,6 @@ func (t *Tree[V]) ScanDesc(ctx *pcontext.Context, from, to []byte, fn ScanFunc[V
 	upper := to // exclusive moving bound; nil = +∞
 	for {
 		ctx.Poll()
-		ctx.YieldStall() // leaf-to-leaf hop (descending)
 		if ctx.Err() != nil {
 			return // see Scan: unwind at the leaf boundary when canceled
 		}

@@ -48,12 +48,6 @@ const (
 	// PhaseResume is the hand-back latency: from the preemptive context's
 	// decision to return the core until the paused context actually runs.
 	PhaseResume
-	// PhaseStallOverlap is the total time a request spent parked at simulated
-	// stall boundaries (YieldStall) while sibling context slots ran on the
-	// same core — the interleaved portion of its lifetime. Recorded once per
-	// request that stall-yielded at least once; zero-context-switch requests
-	// do not record, so the count is "requests ever interleaved".
-	PhaseStallOverlap
 	// PhaseWALWait is the group-commit wait: a leader's batch write+sync, or
 	// a follower's park until its batch is durable.
 	PhaseWALWait
@@ -65,7 +59,7 @@ const (
 
 // phaseNames are the stable exposition names (JSON tags, Prometheus labels).
 var phaseNames = [NumPhases]string{
-	"queue_wait", "exec", "pause", "pause_total", "resume", "stall_overlap", "wal_wait", "total",
+	"queue_wait", "exec", "pause", "pause_total", "resume", "wal_wait", "total",
 }
 
 func (p Phase) String() string {
@@ -91,14 +85,6 @@ type Registry struct {
 	slo         [NumClasses]atomic.Int64
 	sloBreaches [NumClasses]atomic.Uint64
 	breachFn    atomic.Pointer[func(Class, int64)]
-
-	// Interleaving counters (K-way context multiplexing): stallYields counts
-	// rotations taken at a YieldStall boundary (a low-priority context parked
-	// mid-transaction in favor of a sibling slot); interleaveSwitches counts
-	// switches that resumed a stall-parked transaction. Two-context cores
-	// never rotate, so both stay zero at the default configuration.
-	stallYields        atomic.Uint64
-	interleaveSwitches atomic.Uint64
 
 	// Front-end counters: hot-key cache traffic (hits served without entering
 	// a scheduler core, misses that fell through to MVCC, entries invalidated
@@ -179,38 +165,6 @@ func (r *Registry) ObserveDelivery(hint int, v int64) {
 		return
 	}
 	r.delivery.Record(hint, v)
-}
-
-// IncStallYield counts one stall-boundary rotation away from a context.
-func (r *Registry) IncStallYield() {
-	if r == nil {
-		return
-	}
-	r.stallYields.Add(1)
-}
-
-// IncInterleaveSwitch counts one switch into a stall-parked context.
-func (r *Registry) IncInterleaveSwitch() {
-	if r == nil {
-		return
-	}
-	r.interleaveSwitches.Add(1)
-}
-
-// StallYields returns the stall-boundary rotation count.
-func (r *Registry) StallYields() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.stallYields.Load()
-}
-
-// InterleaveSwitches returns the resumed-interleaved-transaction count.
-func (r *Registry) InterleaveSwitches() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.interleaveSwitches.Load()
 }
 
 // IncCacheHits counts one hot-key cache hit.
@@ -312,21 +266,20 @@ func (r *Registry) Delivery() *ConcurrentHistogram {
 // PhaseSummaries is the per-class latency decomposition: one Summary per
 // phase, in nanoseconds.
 type PhaseSummaries struct {
-	QueueWait    Summary `json:"queue_wait"`
-	Exec         Summary `json:"exec"`
-	Pause        Summary `json:"pause"`
-	PauseTotal   Summary `json:"pause_total"`
-	Resume       Summary `json:"resume"`
-	StallOverlap Summary `json:"stall_overlap"`
-	WALWait      Summary `json:"wal_wait"`
-	Total        Summary `json:"total"`
+	QueueWait  Summary `json:"queue_wait"`
+	Exec       Summary `json:"exec"`
+	Pause      Summary `json:"pause"`
+	PauseTotal Summary `json:"pause_total"`
+	Resume     Summary `json:"resume"`
+	WALWait    Summary `json:"wal_wait"`
+	Total      Summary `json:"total"`
 }
 
 // byPhase exposes the summaries positionally, mirroring the Phase constants.
 func (ps *PhaseSummaries) byPhase() [NumPhases]*Summary {
 	return [NumPhases]*Summary{
 		&ps.QueueWait, &ps.Exec, &ps.Pause, &ps.PauseTotal,
-		&ps.Resume, &ps.StallOverlap, &ps.WALWait, &ps.Total,
+		&ps.Resume, &ps.WALWait, &ps.Total,
 	}
 }
 
@@ -337,11 +290,6 @@ type RegistrySnapshot struct {
 	Hi            PhaseSummaries `json:"hi"`
 	Lo            PhaseSummaries `json:"lo"`
 	UintrDelivery Summary        `json:"uintr_delivery"`
-	// StallYields / InterleaveSwitches are the K-way context-multiplexing
-	// counters: rotations away from a stalling context, and switches that
-	// resumed a stall-parked one. Zero on two-context (default) cores.
-	StallYields        uint64 `json:"stall_yields"`
-	InterleaveSwitches uint64 `json:"interleave_switches"`
 	// Front-end counters: hot-key cache traffic and edge-admission shedding.
 	// ConnsOpen is a point-in-time gauge, not a counter.
 	CacheHits          uint64 `json:"cache_hits"`
@@ -371,8 +319,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		}
 	}
 	snap.UintrDelivery = r.delivery.Summarize()
-	snap.StallYields = r.stallYields.Load()
-	snap.InterleaveSwitches = r.interleaveSwitches.Load()
 	snap.CacheHits = r.cacheHits.Load()
 	snap.CacheMisses = r.cacheMisses.Load()
 	snap.CacheInvalidations = r.cacheInvalidations.Load()
@@ -414,8 +360,6 @@ func MergedSnapshot(regs []*Registry) RegistrySnapshot {
 	}
 	snap.UintrDelivery = merge(func(r *Registry) *ConcurrentHistogram { return r.Delivery() })
 	for _, r := range regs {
-		snap.StallYields += r.StallYields()
-		snap.InterleaveSwitches += r.InterleaveSwitches()
 		snap.CacheHits += r.CacheHits()
 		snap.CacheMisses += r.CacheMisses()
 		snap.CacheInvalidations += r.CacheInvalidations()
@@ -446,12 +390,6 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP preemptdb_uintr_delivery_nanoseconds Userspace-interrupt latency from SendUIPI post to handler recognition.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_uintr_delivery_nanoseconds summary\n")
 	writePromSummary(w, "preemptdb_uintr_delivery_nanoseconds", "", s.UintrDelivery)
-	fmt.Fprintf(w, "# HELP preemptdb_stall_yields_total Stall-boundary rotations away from a low-priority context (K-way interleaving).\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_stall_yields_total counter\n")
-	fmt.Fprintf(w, "preemptdb_stall_yields_total %d\n", s.StallYields)
-	fmt.Fprintf(w, "# HELP preemptdb_interleave_switches_total Switches that resumed a stall-parked transaction (K-way interleaving).\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_interleave_switches_total counter\n")
-	fmt.Fprintf(w, "preemptdb_interleave_switches_total %d\n", s.InterleaveSwitches)
 	fmt.Fprintf(w, "# HELP preemptdb_cache_hits_total Hot-key cache hits served without entering a scheduler core.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_cache_hits_total counter\n")
 	fmt.Fprintf(w, "preemptdb_cache_hits_total %d\n", s.CacheHits)

@@ -8,8 +8,8 @@ import (
 )
 
 // TestCommitPublicationAtomicity is the regression test for the torn-commit
-// window behind the TestParallelScanTorture "snapshot total off-by-one"
-// flake: Commit drew its timestamp from the clock *before* the publication
+// window behind a "snapshot total off-by-one" flake in concurrent scans:
+// Commit drew its timestamp from the clock *before* the publication
 // store, so a reader beginning in between (begin >= cts) could read one key
 // pre-publication (old value) and another post-publication (new value) —
 // half a committed transaction. With the statusCommitting window, readers

@@ -144,7 +144,7 @@ func BenchmarkTrimChain16(b *testing.B) {
 }
 
 // BenchmarkMinActiveBegin measures the vacuum-side horizon scan over a slot
-// table sized like a busy process (workers + morsel helper slots). The scan
+// table sized like a busy process (many attached contexts). The scan
 // walks the atomically-published snapshot without taking the registration
 // lock, so its cost is pure iteration.
 func BenchmarkMinActiveBegin(b *testing.B) {

@@ -280,7 +280,6 @@ func (t *Txn) ReadForCache(rec *Record) (data []byte, cts uint64, newest, ok boo
 	newest = true
 	for v := rec.head.Load(); v != nil; v = v.prev.Load() {
 		t.ctx.Poll()
-		t.ctx.YieldStall()
 		c, committed, owner := v.resolve()
 		if visible(c, committed, owner, t, t.begin, t.iso) {
 			if t.iso == Serializable {
@@ -313,11 +312,6 @@ func (t *Txn) readVersion(rec *Record) *Version {
 	var found *Version
 	for v := rec.head.Load(); v != nil; v = v.prev.Load() {
 		t.ctx.Poll()
-		// Version-chain hop: each older version is a pointer chase the
-		// paper's hardware would stall on — a K-way core may rotate here.
-		// Update's CAS loop deliberately carries no stall mark: parking
-		// mid-install would widen the write-conflict window for free.
-		t.ctx.YieldStall()
 		cts, committed, owner := v.resolve()
 		if visible(cts, committed, owner, t, t.begin, t.iso) {
 			found = v
@@ -389,9 +383,8 @@ type Oracle struct {
 
 	// slots is an atomically-published snapshot of the slot table. Writers
 	// (RegisterSlot growing the table) copy-on-write under mu and publish the
-	// new slice; MinActiveBegin — called on every vacuum cycle, and scanning
-	// a table that now also carries per-query morsel helper slots — iterates
-	// a loaded snapshot without taking mu, so GC never blocks registration.
+	// new slice; MinActiveBegin — called on every vacuum cycle — iterates a
+	// loaded snapshot without taking mu, so GC never blocks registration.
 	// Slots are only ever appended, never removed (unregistration recycles
 	// them through freeSlots with begin=0), so a stale snapshot misses at
 	// most slots registered after the load — and any transaction on such a
@@ -480,43 +473,6 @@ func (o *Oracle) Begin(ctx *pcontext.Context, iso IsolationLevel, slot *ActiveSl
 		slot.begin.Store(t.begin + 1)
 	} else {
 		t.begin = o.clock.Load()
-	}
-	t.iso = iso
-	t.ctx = ctx
-	t.oracle = o
-	t.slot = slot
-	t.prepared = false
-	t.state.Store(statusActive)
-	return t
-}
-
-// BeginAt starts a read-only helper transaction pinned at the snapshot
-// timestamp begin instead of the current clock — the entry point for morsel
-// helpers that share one analytical query's snapshot across contexts. The
-// slot advertises the shared begin so the vacuum horizon can never pass it
-// while the helper runs; there is no clock re-read race here because safety
-// comes from the parent, not from this store: the caller must guarantee that
-// the transaction whose begin this is stays active on its own slot for the
-// helper's whole lifetime, which keeps MinActiveBegin <= begin throughout,
-// so advertising the same value can never un-protect a version the parent
-// could still read. Read-only SI reads are latch-free, so several helpers
-// may read under one snapshot concurrently; the returned transaction must
-// not write (first-updater-wins checks assume a writer's begin came from the
-// live clock) and must finish with Abort, never Commit.
-func (o *Oracle) BeginAt(ctx *pcontext.Context, iso IsolationLevel, slot *ActiveSlot, begin uint64) *Txn {
-	var t *Txn
-	if slot != nil && slot.cached != nil {
-		t = slot.cached
-		slot.cached = nil
-		t.writes = t.writes[:0]
-		t.reads = t.reads[:0]
-	} else {
-		t = &Txn{}
-	}
-	t.id = o.nextID.Add(1)
-	t.begin = begin
-	if slot != nil {
-		slot.begin.Store(begin + 1)
 	}
 	t.iso = iso
 	t.ctx = ctx

@@ -307,11 +307,11 @@ func ChromeTraceTxn(tag uint64, cores []CoreEvents) ([]byte, error) {
 			flow("t", pid, tid, us(e.At-AuxDuration(e.Aux)))
 		case EvPassiveSwitch, EvActiveSwitch:
 			// The transaction's context is the From edge of a switch carrying
-			// its tag: it was paused (preempted or stall-parked) here.
+			// its tag: it was paused (preempted, or yielded cooperatively) here.
 			pid, tid := schedTrack(te.core, e.From)
 			name := "paused (preempted)"
 			if e.Kind == EvActiveSwitch {
-				name = "paused (yield/stall)"
+				name = "paused (yield)"
 			}
 			out = append(out, chromeEvent{
 				Name: name, Ph: "i", Ts: us(e.At), S: "t", Pid: pid, Tid: tid,

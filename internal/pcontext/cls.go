@@ -23,17 +23,6 @@ type CLS struct {
 	// yield, so the policy yields every (Accesses - LastYield) ≥ interval.
 	LastYield uint64
 
-	// Stalls counts simulated stall boundaries (YieldStall calls): B+tree
-	// node descents and version-chain hops, the instructions the paper's
-	// hardware would spend a cache miss on.
-	Stalls uint64
-
-	// LastStallYield records the Stalls value at the previous stall-boundary
-	// rotation, so the scheduler's stall hook rotates the core every
-	// (Stalls - LastStallYield) ≥ StallInterval boundaries rather than
-	// paying a context switch per node access.
-	LastStallYield uint64
-
 	// HighPrio marks the context as currently executing a high-priority
 	// request (set/cleared by the scheduler around each request), letting
 	// lower layers — the engine's commit path — attribute their latency

@@ -1,11 +1,9 @@
 // Package pcontext implements PreemptDB's userspace transaction contexts:
 // the mechanism that lets one worker (a simulated hardware thread, Core)
-// time-share several transaction contexts and switch between them either
-// passively — when a user interrupt is recognized — or actively, via
-// SwapContext after a high-priority batch completes (paper §4.2), or at a
-// simulated stall boundary via YieldStall (CoroBase-style interleaving: a
-// core multiplexing K contexts rotates to the next runnable low-priority
-// context instead of waiting out a data stall).
+// time-share its transaction contexts — the paper's regular context plus one
+// preemptive context (§4.1) — and switch between them either passively, when
+// a user interrupt is recognized, or actively, via SwapContext after a
+// high-priority batch completes (paper §4.2).
 //
 // Mapping from the paper's x86 machinery to this package:
 //
@@ -52,15 +50,6 @@ type Handler func(cur *Context, vectors uint64)
 // it for cooperative yield checks. It runs before interrupt recognition.
 type PollHook func(cur *Context)
 
-// StallHook is invoked by YieldStall at simulated stall boundaries (B+tree
-// node descent, version-chain hops) when installed. The embedding scheduler's
-// hook typically rotates the core to the next runnable low-priority context
-// with SwapContext and returns once the core is handed back; returning
-// without switching keeps the current context running — the analogue of a
-// prefetch that hit. It runs on the stalling context's goroutine, outside
-// non-preemptible regions only.
-type StallHook func(cur *Context)
-
 // Core models one hardware thread time-sharing multiple transaction contexts.
 type Core struct {
 	id   int
@@ -77,12 +66,6 @@ type Core struct {
 	// Poll's fast path skip everything with one non-atomic read after the
 	// nil-context check.
 	hooked atomic.Bool
-
-	// stallHook/stallHooked gate YieldStall the same way handler/hooked gate
-	// Poll: when no hook is installed (K=2 cores never install one) a stall
-	// boundary costs two loads and a branch.
-	stallHook   StallHook
-	stallHooked atomic.Bool
 
 	done atomic.Bool
 	wg   sync.WaitGroup
@@ -115,11 +98,9 @@ func (c *Core) UserData() any { return c.userData }
 // runs on the core's running context and must not block.
 func (c *Core) SetDeliveryObserver(fn func(nanos int64)) { c.deliveryObs = fn }
 
-// NewCore creates a core with n transaction contexts: a ring of n-1
-// low-priority slots plus one distinct preemptive context (the paper uses
-// two — one regular, one preemptive; K>2 turns the core into a stall-hiding
-// batch executor whose low slots rotate at YieldStall boundaries). Contexts
-// are created parked; call Start to launch them.
+// NewCore creates a core with n transaction contexts. PreemptDB's scheduler
+// uses two — the paper's regular context and its preemptive context.
+// Contexts are created parked; call Start to launch them.
 func NewCore(id, n int) *Core {
 	if n < 1 {
 		panic("pcontext: core needs at least one context")
@@ -138,9 +119,8 @@ func (c *Core) ID() int { return c.id }
 // Receiver().UPID() and toggle UIF.
 func (c *Core) Receiver() *uintr.Receiver { return c.recv }
 
-// Context returns context i. PreemptDB's scheduler keeps contexts
-// 0..NumContexts-2 as low-priority slots (slot 0 is the paper's regular
-// context) and the last context preemptive.
+// Context returns context i. PreemptDB's scheduler runs low-priority work on
+// context 0 (the paper's regular context) and keeps the last one preemptive.
 func (c *Core) Context(i int) *Context { return c.contexts[i] }
 
 // NumContexts returns the number of contexts on this core.
@@ -159,14 +139,6 @@ func (c *Core) SetHandler(h Handler) {
 func (c *Core) SetPollHook(h PollHook) {
 	c.pollHook = h
 	c.hooked.Store(h != nil || c.handler != nil)
-}
-
-// SetStallHook installs the hook YieldStall delegates to. Install before
-// Start; schedulers multiplexing more than two contexts per core install one
-// to rotate among their low-priority slots at stall boundaries.
-func (c *Core) SetStallHook(h StallHook) {
-	c.stallHook = h
-	c.stallHooked.Store(h != nil)
 }
 
 // Start launches one goroutine per context. entries[i] is the body for
@@ -230,10 +202,9 @@ func (c *Core) LowPrioActive() bool {
 
 // StarvationLevel returns the core's effective starvation level for
 // admission decisions: the maximum L = Th / (T1 - T0) across the core's
-// context slots (see Context.StarvationLevel). With one low-priority slot
-// (the paper's two-context core) this is exactly the per-transaction level;
-// with K-way multiplexing it is the most-starved slot, the conservative
-// choice for the scheduler's skip-and-hold-back decisions (§5).
+// context slots (see Context.StarvationLevel). On the scheduler's
+// two-context core only the regular context runs low-priority work, so this
+// is exactly the per-transaction level the paper's §5 decisions use.
 func (c *Core) StarvationLevel() float64 {
 	var max float64
 	for _, ctx := range c.contexts {
@@ -349,7 +320,7 @@ type Context struct {
 	// by the context's own goroutine.
 	traceTag uint64
 
-	// Per-slot starvation accounting (paper §5, generalized to K contexts):
+	// Per-slot starvation accounting (paper §5, kept per context):
 	// t0 is the start timestamp of the low-priority transaction occupying
 	// this context (0 when none), th the nanoseconds of high-priority work
 	// that ran on the core since t0, frozenL the level frozen at EndLowPrio
@@ -501,29 +472,6 @@ func (x *Context) SwapContext(target *Context) {
 	x.park()
 	// Resumed: we hold the core again; UIF was re-enabled by whoever
 	// switched back to us.
-}
-
-// YieldStall marks a simulated stall boundary: an instruction the paper's
-// hardware would spend a cache miss on (a B+tree node descent, a
-// version-chain hop). CoroBase hides such stalls by switching to another
-// in-flight transaction; here the installed StallHook rotates the core to
-// the next runnable low-priority context, so one core overlaps a batch of
-// K-1 transactions. Without a hook (two-context cores) it costs an increment
-// and two loads; inside non-preemptible regions it is suppressed like Poll.
-// Safe on nil and detached contexts.
-func (x *Context) YieldStall() {
-	if x == nil {
-		return
-	}
-	x.cls.Stalls++
-	core := x.core
-	if core == nil || !core.stallHooked.Load() {
-		return
-	}
-	if x.tcb.npr > 0 {
-		return
-	}
-	core.stallHook(x)
 }
 
 // Yield re-checks for pending work by delivering any recognized interrupt on

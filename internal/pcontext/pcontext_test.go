@@ -256,9 +256,9 @@ func TestStarvationLevel(t *testing.T) {
 }
 
 func TestStarvationLevelPerSlot(t *testing.T) {
-	// On a K-way core every paused slot starves while high-priority work
-	// runs: AddHighPrioNanos feeds each active slot, and the core-level
-	// StarvationLevel is the max over slots (conservative admission).
+	// Every context with a low-priority transaction in flight starves while
+	// high-priority work runs: AddHighPrioNanos feeds each active context,
+	// and the core-level StarvationLevel is the max over contexts.
 	core := NewCore(0, 4)
 	a, b := core.Context(0), core.Context(1)
 	a.BeginLowPrio()
@@ -451,4 +451,19 @@ func TestActiveSwitchKeepsInterruptPending(t *testing.T) {
 		t.Fatal("timed out")
 	}
 	core.Shutdown()
+}
+
+func TestBeginLowPrioSingleWriterPanicsUnderRace(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("invariant check compiled in only under -race")
+	}
+	core := NewCore(0, 2)
+	slot := core.Context(0)
+	slot.BeginLowPrio()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double BeginLowPrio did not panic under -race")
+		}
+	}()
+	slot.BeginLowPrio()
 }

@@ -1,10 +1,10 @@
 // Package sched implements PreemptDB's transaction scheduling layer
 // (paper §4.1, §5): a scheduling thread dispatches priority-tagged
 // transaction requests into per-worker high- and low-priority queues, and
-// each worker — a simulated core hosting K transaction contexts (K-1
-// low-priority slots plus one preemptive context; default K=2, the paper's
-// layout) — executes them under one of the competing policies the paper
-// evaluates:
+// each worker — a simulated core hosting the paper's two transaction
+// contexts, one regular context that runs low-priority work and one
+// preemptive context that runs high-priority batches — executes them under
+// one of the competing policies the paper evaluates:
 //
 //   - Wait: non-preemptive. A worker runs a transaction to completion, then
 //     exhausts the high-priority queue before taking the next low-priority
@@ -22,16 +22,9 @@
 // is pushed round-robin with one interrupt per touched worker, the scheduler
 // skips workers whose starvation level exceeds the threshold, and the
 // preemptive context returns the core early when the threshold is crossed
-// mid-batch.
-//
-// With ContextsPerCore > 2 each worker additionally becomes a CoroBase-style
-// stall-hiding batch executor: its K-1 low-priority slots each pull requests
-// from the queues, and at simulated stall boundaries (YieldStall — B+tree
-// node descents, version-chain hops) the running slot rotates the core to
-// the next runnable sibling instead of waiting the stall out. Every slot
-// stays independently preemptible (the preemptive context always wins and
-// hands the core back to the slot it interrupted), cancelable (lifecycle
-// descriptors are per-context), and starvation-accounted (per-slot t0/th).
+// mid-batch. An in-progress high-priority transaction is never interrupted,
+// whichever context runs it: a batch that arrives meanwhile waits in the
+// queue, and the regular context takes it next.
 package sched
 
 import (
@@ -46,11 +39,6 @@ import (
 	"preemptdb/internal/queue"
 	"preemptdb/internal/uintr"
 )
-
-// MaxContextsPerCore bounds Config.ContextsPerCore (per-slot state arrays
-// and rotation scans are sized/paced for small K; the paper's hardware has
-// a handful of outstanding-miss slots, not hundreds).
-const MaxContextsPerCore = 16
 
 // Policy selects the scheduling discipline.
 type Policy uint8
@@ -164,21 +152,11 @@ type Config struct {
 	// work). Values >= 1 effectively disable prevention; the paper's default
 	// is 100. Default 100.
 	StarvationThreshold float64
-	// MorselQueueSize caps the shared stealable morsel-task queue (parallel
-	// analytical sub-requests, see SubmitMorsel). Default 64.
-	MorselQueueSize int
-	// ContextsPerCore is the number of transaction contexts K each worker
-	// core multiplexes: K-1 low-priority slots plus the preemptive context.
-	// Default 2 — the paper's layout and the exact pre-K-way code path (no
-	// stall hook is installed, so YieldStall boundaries cost two loads).
-	// Values above 2 enable stall-boundary rotation among the low slots.
-	// Clamped to [2, MaxContextsPerCore].
+	// ContextsPerCore is not an option: every core is the paper's regular
+	// context plus its preemptive context. The field stays because the
+	// ledger's htap_mix configuration spells that layout out; New accepts 0
+	// (the default) or 2 and panics on anything else.
 	ContextsPerCore int
-	// StallInterval is the number of simulated stall boundaries (YieldStall
-	// calls: node descents, version hops) a low-priority slot passes between
-	// rotation attempts when ContextsPerCore > 2. Default 64 — rotating at
-	// every boundary would pay a context switch per node access.
-	StallInterval uint64
 	// Metrics receives the per-phase latency decomposition (queue wait,
 	// execution, pauses, resume, end-to-end) and uintr delivery latency.
 	// Default: a fresh registry — instrumentation is always on; pass a shared
@@ -212,17 +190,8 @@ func (c Config) withDefaults() Config {
 	if c.StarvationThreshold == 0 {
 		c.StarvationThreshold = 100
 	}
-	if c.MorselQueueSize == 0 {
-		c.MorselQueueSize = 64
-	}
-	if c.ContextsPerCore < 2 {
-		c.ContextsPerCore = 2
-	}
-	if c.ContextsPerCore > MaxContextsPerCore {
-		c.ContextsPerCore = MaxContextsPerCore
-	}
-	if c.StallInterval == 0 {
-		c.StallInterval = 64
+	if c.ContextsPerCore == 0 {
+		c.ContextsPerCore = contextsPerCore
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -245,17 +214,10 @@ type Scheduler struct {
 	workers []*Worker
 	rr      atomic.Uint64 // round-robin cursor for high-priority dispatch
 
-	// morselQ is the shared stealable work queue for parallel analytical
-	// sub-requests: any worker with nothing else to do pops a task and helps
-	// a neighbor's query. MPMC because every worker consumes and any context
-	// may produce.
-	morselQ *queue.MPMC[func(*pcontext.Context)]
-
 	interruptsSent  atomic.Uint64
 	starvationSkips atomic.Uint64
 	shedExpired     atomic.Uint64
 	shedCanceled    atomic.Uint64
-	morselsStolen   atomic.Uint64
 	started         bool
 
 	// metrics is the shared phase-latency registry (never nil after New).
@@ -266,14 +228,18 @@ type Scheduler struct {
 	traceSeq *atomic.Uint64
 }
 
-// Worker is one simulated core with its K transaction contexts and queues.
+// contextsPerCore is the paper's core layout: context 0 is the regular
+// context, context 1 the preemptive one.
+const contextsPerCore = 2
+
+// Worker is one simulated core with its two transaction contexts and queues.
 type Worker struct {
 	id   int
 	s    *Scheduler
 	core *pcontext.Core
-	// hiQ is multi-consumer: the low-priority slots and the preemptive
-	// context all pop from it (never truly concurrently, but across the
-	// park/unpark handoff).
+	// hiQ is multi-consumer: the regular and the preemptive context both pop
+	// from it (never truly concurrently, but across the park/unpark
+	// handoff).
 	hiQ *queue.MPMC[*Request]
 	// loQ has one consumer at a time but any number of producers: every
 	// goroutine that submits at Low pushes here.
@@ -282,57 +248,37 @@ type Worker struct {
 	executedHi atomic.Uint64
 	executedLo atomic.Uint64
 
-	// slots[i] is the request accounting for context i — one entry per
-	// context, so a request on any slot (or the preemptive context) never
-	// clobbers a paused sibling's state. Plain fields: every access happens
-	// on the context that currently holds the core, and core ownership only
-	// transfers through park/unpark handoffs, which order them (the same
-	// argument the two-context code made for its single shared pair).
-	slots []slotState
+	// slots[i] is the request accounting for context i, so a request on the
+	// preemptive context never clobbers the paused one's state. Plain fields
+	// apart from resumeAt: every other access happens on the context that
+	// owns the slot.
+	slots [contextsPerCore]slotState
 
 	// pubs[i] is slot i's seqlock-published mirror for live introspection:
 	// the owning context writes it at state transitions (execute start/end,
-	// stall park/resume, preempt pause/resume); any goroutine may read it
-	// through SlotTable without touching the plain slotState fields.
-	pubs []slotPub
-
-	// resumeTo is the context the preemptive loop hands the core back to:
-	// the last low slot it interrupted (via handler or cooperative yield).
-	// Written by the interrupted context just before switching away, read by
-	// the preemptive context after the handoff.
-	resumeTo *pcontext.Context
+	// preempt pause/resume); any goroutine may read it through SlotTable
+	// without touching the plain slotState fields.
+	pubs [contextsPerCore]slotPub
 }
 
-// slotState is one context's request accounting (the per-slot generalization
-// of the former per-worker pauseNs/resumeAt/curClass triple).
+// slotState is one context's request accounting.
 type slotState struct {
 	pauseNs  int64         // preempted-pause nanoseconds accumulated so far
-	resumeAt int64         // stamped by the preemptive loop just before handing the core back
 	curClass metrics.Class // class of the request the accumulators belong to
+	curTag   uint64        // trace id of the in-flight request (for pause/resume republish)
 
-	stallNs    int64  // stall-parked (interleaved-out) nanoseconds accumulated so far
-	stallStart int64  // non-zero while the slot is parked at a stall boundary
-	curTag     uint64 // trace id of the in-flight request (for pause/resume republish)
-
-	// stallParked marks a slot parked mid-transaction at a YieldStall
-	// boundary: it is runnable and waiting for a sibling to rotate the core
-	// back. idle marks a slot parked with no request in flight: handing it
-	// the core makes it pull new work from the queues (that is how the
-	// dispatcher fills a worker's K-1 slots). A slot with neither flag is
-	// either running or preempt-parked (owed a resume by the preemptive
-	// loop) and must not be switched to. These two are the only slot fields a
-	// sibling reads, and they are atomic for the one moment the handoff does
-	// not order those reads: Shutdown wakes every parked context at once.
-	stallParked atomic.Bool
-	idle        atomic.Bool
+	// resumeAt is stamped by the preemptive loop just before it hands the
+	// core back and read by the paused context once it runs. The handoff
+	// orders the two, except when Shutdown wakes every parked context at
+	// once while the preemptive loop is still draining, so it is atomic.
+	resumeAt atomic.Int64
 }
 
 // Published slot states (SlotInfo.State).
 const (
-	SlotIdle        = "idle"         // parked with no request in flight
-	SlotRunning     = "running"      // executing a request (or holding the core)
-	SlotStallParked = "stall-parked" // parked mid-transaction at a stall boundary
-	SlotPreempted   = "preempted"    // paused mid-transaction by the preemptive context
+	SlotIdle      = "idle"      // parked with no request in flight
+	SlotRunning   = "running"   // executing a request (or holding the core)
+	SlotPreempted = "preempted" // paused mid-transaction by the preemptive context
 )
 
 // slotPub is one slot's introspection mirror, written only by the context
@@ -343,7 +289,7 @@ const (
 // as well as tear-free.
 type slotPub struct {
 	seq   atomic.Uint32
-	state atomic.Uint32 // 0 idle, 1 running, 2 stall-parked, 3 preempted
+	state atomic.Uint32 // 0 idle, 1 running, 2 preempted
 	class atomic.Uint32 // metrics.Class of the in-flight request
 	tag   atomic.Uint64 // trace id of the in-flight request (0 when idle)
 }
@@ -351,7 +297,6 @@ type slotPub struct {
 const (
 	pubIdle uint32 = iota
 	pubRunning
-	pubStallParked
 	pubPreempted
 )
 
@@ -423,8 +368,6 @@ func (w *Worker) SlotTable() []SlotInfo {
 		switch state {
 		case pubRunning:
 			info.State = SlotRunning
-		case pubStallParked:
-			info.State = SlotStallParked
 		case pubPreempted:
 			info.State = SlotPreempted
 		default:
@@ -481,27 +424,25 @@ func (w *Worker) ExecutedHigh() uint64 { return w.executedHi.Load() }
 // ExecutedLow returns the number of completed low-priority requests.
 func (w *Worker) ExecutedLow() uint64 { return w.executedLo.Load() }
 
-// New builds a scheduler; call Start to launch the workers.
+// New builds a scheduler; call Start to launch the workers. It panics when
+// cfg.ContextsPerCore is neither 0 nor 2.
 func New(cfg Config) *Scheduler {
+	if cfg.ContextsPerCore != 0 && cfg.ContextsPerCore != contextsPerCore {
+		panic(fmt.Sprintf("sched: ContextsPerCore = %d; a core is one regular and one preemptive context (0 or 2)", cfg.ContextsPerCore))
+	}
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:      cfg,
-		morselQ:  queue.NewMPMC[func(*pcontext.Context)](cfg.MorselQueueSize),
 		metrics:  cfg.Metrics,
 		traceSeq: cfg.TraceIDs,
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &Worker{
-			id:    i,
-			s:     s,
-			core:  pcontext.NewCore(i, cfg.ContextsPerCore),
-			hiQ:   queue.NewMPMC[*Request](cfg.HiQueueSize),
-			loQ:   queue.NewMPMC[*Request](cfg.LoQueueSize),
-			slots: make([]slotState, cfg.ContextsPerCore),
-			pubs:  make([]slotPub, cfg.ContextsPerCore),
-		}
-		for si := range w.slots {
-			w.slots[si].idle.Store(true) // every slot starts parked with no request
+			id:   i,
+			s:    s,
+			core: pcontext.NewCore(i, contextsPerCore),
+			hiQ:  queue.NewMPMC[*Request](cfg.HiQueueSize),
+			loQ:  queue.NewMPMC[*Request](cfg.LoQueueSize),
 		}
 		w.core.SetUserData(w)
 		if cfg.TraceCapacity > 0 {
@@ -550,50 +491,6 @@ func (s *Scheduler) ShedExpired() uint64 { return s.shedExpired.Load() }
 // because their submitter canceled them before they ran.
 func (s *Scheduler) ShedCanceled() uint64 { return s.shedCanceled.Load() }
 
-// MorselsStolen returns how many morsel helper tasks idle workers picked up
-// from the shared queue.
-func (s *Scheduler) MorselsStolen() uint64 { return s.morselsStolen.Load() }
-
-// StallYields returns how many times a low-priority slot rotated the core
-// away at a simulated stall boundary (K-way interleaving; zero when
-// ContextsPerCore is 2).
-func (s *Scheduler) StallYields() uint64 { return s.metrics.StallYields() }
-
-// InterleaveSwitches returns how many switches resumed a stall-parked
-// transaction (from a rotating sibling or an idle slot handing over).
-func (s *Scheduler) InterleaveSwitches() uint64 { return s.metrics.InterleaveSwitches() }
-
-// SubmitMorsel offers one stealable morsel helper task to the shared queue.
-// Unlike SubmitLow/SubmitHighBatch it is safe from any goroutine (the queue
-// is MPMC), because analytical transactions spawn helpers from whichever
-// worker context they run on. A worker claims a task only when both its
-// priority queues are empty — morsels are strictly lower priority than every
-// queued request — and runs it with the starvation meter armed, so a
-// high-priority burst preempts a stolen morsel exactly like any other
-// low-priority transaction. Returns false when the queue is full; the caller
-// simply runs more morsels itself.
-func (s *Scheduler) SubmitMorsel(fn func(ctx *pcontext.Context)) bool {
-	if fn == nil {
-		return false
-	}
-	return s.morselQ.Push(fn)
-}
-
-// MorselSpawner returns a spawn function that dispatches morsel helper tasks
-// to the scheduler owning ctx's core, or nil when ctx is detached (no
-// scheduler — callers then run their morsels inline). The signature matches
-// engine.ParallelScanConfig.Spawn.
-func MorselSpawner(ctx *pcontext.Context) func(fn func(ctx *pcontext.Context)) bool {
-	if ctx == nil || ctx.Core() == nil {
-		return nil
-	}
-	w, ok := ctx.Core().UserData().(*Worker)
-	if !ok {
-		return nil
-	}
-	return w.s.SubmitMorsel
-}
-
 // Start launches every worker's contexts and installs the policy hooks.
 func (s *Scheduler) Start() {
 	if s.started {
@@ -602,14 +499,7 @@ func (s *Scheduler) Start() {
 	s.started = true
 	for _, w := range s.workers {
 		w.install()
-		// Contexts 0..K-2 are interchangeable low-priority slots; the last
-		// context is the distinct preemptive one (always wins, never rotates).
-		entries := make([]func(*pcontext.Context), w.core.NumContexts())
-		for i := 0; i < len(entries)-1; i++ {
-			entries[i] = w.slotLoop
-		}
-		entries[len(entries)-1] = w.preemptiveLoop
-		w.core.Start(entries)
+		w.core.Start([]func(*pcontext.Context){w.slotLoop, w.preemptiveLoop})
 	}
 }
 
@@ -626,23 +516,8 @@ func (s *Scheduler) Stop() {
 	}
 }
 
-// lowSlots returns the number of low-priority context slots (K-1; the last
-// context is the preemptive one).
-func (w *Worker) lowSlots() int { return w.core.NumContexts() - 1 }
-
-// preemptiveCtx returns the worker's distinct preemptive context.
-func (w *Worker) preemptiveCtx() *pcontext.Context {
-	return w.core.Context(w.core.NumContexts() - 1)
-}
-
 // install wires the policy-specific handler/hook on the worker's core.
 func (w *Worker) install() {
-	if w.lowSlots() > 1 {
-		// K-way multiplexing: rotate among the low slots at simulated stall
-		// boundaries, under every policy (interleaving is orthogonal to how
-		// high-priority work preempts).
-		w.core.SetStallHook(w.stallPoint)
-	}
 	switch w.s.cfg.Policy {
 	case PolicyPreempt:
 		w.core.SetHandler(func(cur *pcontext.Context, vectors uint64) {
@@ -668,29 +543,30 @@ func (w *Worker) install() {
 }
 
 // handlePreempt is the user-interrupt handler body: switch the interrupted
-// low slot to the preemptive context if there is work and no reason to hold
-// back. It runs with interrupts disabled (UIF clear), like a hardware
-// handler.
+// regular context to the preemptive context if there is work and no reason
+// to hold back. It runs with interrupts disabled (UIF clear), like a
+// hardware handler.
 func (w *Worker) handlePreempt(cur *pcontext.Context) {
-	if w.core.Done() {
+	if w.core.Done() || w.runsHigh(cur) || w.hiQ.Empty() {
+		// An empty queue is a spurious or raced interrupt (fig8's overhead
+		// path); otherwise the batch waits for the running high-priority
+		// transaction and is taken next.
 		return
 	}
-	hp := w.preemptiveCtx()
-	if cur == hp {
-		// The paper does not interrupt an in-progress high-priority
-		// transaction; drop the interrupt (the queue will be drained by the
-		// already-running preemptive loop).
-		return
-	}
-	if w.hiQ.Empty() {
-		return // spurious or raced: nothing to do (fig8's overhead path)
-	}
-	w.resumeTo = cur
 	st := &w.slots[cur.ID()]
 	w.publish(cur.ID(), pubPreempted, st.curClass, st.curTag)
 	pauseStart := clock.Nanos()
-	cur.SwitchTo(hp)
+	cur.SwitchTo(w.core.Context(1))
 	w.notePauseEnd(cur, pauseStart)
+}
+
+// runsHigh reports whether cur is executing a high-priority transaction:
+// the preemptive context draining a batch, or the regular context running
+// one it took from the queue between low-priority transactions. The paper
+// never interrupts an in-progress high-priority transaction — pausing it
+// would leave the batch's conflicts against a holder that cannot run.
+func (w *Worker) runsHigh(cur *pcontext.Context) bool {
+	return w.slots[cur.ID()].curClass == metrics.ClassHi
 }
 
 // notePauseEnd runs on the interrupted context the instant it holds the core
@@ -704,9 +580,8 @@ func (w *Worker) notePauseEnd(cur *pcontext.Context, pauseStart int64) {
 	st.pauseNs += pause
 	m := w.s.metrics
 	m.Observe(st.curClass, metrics.PhasePause, w.id, pause)
-	if st.resumeAt != 0 {
-		m.Observe(st.curClass, metrics.PhaseResume, w.id, now-st.resumeAt)
-		st.resumeAt = 0
+	if at := st.resumeAt.Swap(0); at != 0 {
+		m.Observe(st.curClass, metrics.PhaseResume, w.id, now-at)
 	}
 }
 
@@ -714,101 +589,14 @@ func (w *Worker) notePauseEnd(cur *pcontext.Context, pauseStart int64) {
 // queued, voluntarily swap to the preemptive context (which drains the queue
 // and swaps back).
 func (w *Worker) yieldPoint(cur *pcontext.Context) {
-	hp := w.preemptiveCtx()
-	if w.core.Done() || cur == hp {
+	if w.core.Done() || w.runsHigh(cur) || w.hiQ.Empty() {
 		return
 	}
-	if w.hiQ.Empty() {
-		return
-	}
-	w.resumeTo = cur
 	st := &w.slots[cur.ID()]
 	w.publish(cur.ID(), pubPreempted, st.curClass, st.curTag)
 	pauseStart := clock.Nanos()
-	cur.SwapContext(hp)
+	cur.SwapContext(w.core.Context(1))
 	w.notePauseEnd(cur, pauseStart)
-}
-
-// stallPoint is the stall hook (installed when ContextsPerCore > 2): every
-// StallInterval simulated stall boundaries it rotates the core from the
-// stalling low slot to the next runnable sibling — a slot parked
-// mid-transaction at its own stall boundary, or an idle slot when
-// low-priority work is queued (that is how the batch dispatcher keeps K-1
-// slots filled). The stalling transaction parks and resumes when a sibling
-// rotates back; the time parked is recorded as its stall_overlap phase, not
-// its execution time.
-func (w *Worker) stallPoint(cur *pcontext.Context) {
-	id := cur.ID()
-	if w.core.Done() || id >= w.lowSlots() {
-		return // the preemptive context never rotates; hi p99 stays flat in K
-	}
-	cls := cur.CLS()
-	if cls.HighPrio {
-		// A low slot draining the hi queue between transactions is running
-		// high-priority work in place: rotating away would park that request
-		// behind batch work — a priority inversion. Hi-class occupancy runs
-		// straight through its stall boundaries.
-		return
-	}
-	if cls.Stalls-cls.LastStallYield < w.s.cfg.StallInterval {
-		return
-	}
-	cls.LastStallYield = cls.Stalls
-	target := w.rotationTarget(id)
-	if target == nil {
-		return // no runnable sibling: keep running (the "prefetch hit" path)
-	}
-	st := &w.slots[id]
-	st.stallParked.Store(true)
-	st.stallStart = clock.Nanos()
-	w.publish(id, pubStallParked, st.curClass, st.curTag)
-	w.s.metrics.IncStallYield()
-	if w.slots[target.ID()].stallParked.Load() {
-		w.s.metrics.IncInterleaveSwitch()
-	}
-	cur.SwapContext(target)
-	// Resumed: a sibling rotated back (or handed over before going idle).
-	st.stallParked.Store(false)
-	st.stallNs += clock.Nanos() - st.stallStart
-	st.stallStart = 0
-	w.publish(id, pubRunning, st.curClass, st.curTag)
-}
-
-// rotationTarget picks the next runnable low slot after `from` in ring
-// order: a stall-parked sibling resumes its in-flight transaction; an idle
-// sibling is chosen only when the low-priority queue has work for it to
-// pull. Returns nil when no sibling is runnable.
-func (w *Worker) rotationTarget(from int) *pcontext.Context {
-	n := w.lowSlots()
-	wantIdle := !w.loQ.Empty()
-	for i := 1; i < n; i++ {
-		j := from + i
-		if j >= n {
-			j -= n
-		}
-		st := &w.slots[j]
-		if st.stallParked.Load() || (wantIdle && st.idle.Load()) {
-			return w.core.Context(j)
-		}
-	}
-	return nil
-}
-
-// stallParkedSibling returns the next low slot after `from` parked at a
-// stall boundary, or nil. Idle slots use it to hand the core to in-flight
-// work before backing off.
-func (w *Worker) stallParkedSibling(from int) *pcontext.Context {
-	n := w.lowSlots()
-	for i := 1; i < n; i++ {
-		j := from + i
-		if j >= n {
-			j -= n
-		}
-		if w.slots[j].stallParked.Load() {
-			return w.core.Context(j)
-		}
-	}
-	return nil
 }
 
 // Yield is the workload-visible yield point for handcrafted cooperative
@@ -826,82 +614,51 @@ func Yield(ctx *pcontext.Context) {
 	w.yieldPoint(ctx)
 }
 
-// slotLoop is the body of every low-priority context slot: the regular
-// scheduling path, generalized from the two-context regular loop. It prefers
-// the high-priority queue between transactions (all policies do, per §6.1's
-// Wait definition), then runs low-priority transactions with starvation
-// accounting armed. With nothing queued it hands the core to a stall-parked
-// sibling before backing off, so an idle slot never sits on core time an
-// interleaved transaction could use.
+// slotLoop is the regular context's body. It prefers the high-priority
+// queue between transactions (all policies do, per §6.1's Wait definition),
+// then runs low-priority transactions with starvation accounting armed.
 func (w *Worker) slotLoop(ctx *pcontext.Context) {
-	st := &w.slots[ctx.ID()]
 	idle := 0
-	ranLow := false
+	started := false
 	for !w.core.Done() {
 		// §6.1: "Each worker thread starts with the low-priority transaction
 		// queue to run Q2" and only then prefers the high-priority queue
 		// between transactions. Starting low also arms the starvation meter
-		// before any admission decision is taken against this worker.
-		if !ranLow {
+		// before any admission decision is taken against this worker. Once
+		// anything has run the preference is high first, so a batch held
+		// back behind a high-priority transaction here runs next.
+		if !started {
 			if req, ok := w.loQ.Pop(); ok {
-				st.idle.Store(false)
 				w.runLow(ctx, req)
-				st.idle.Store(true)
-				ranLow = true
-				idle = 0
+				started, idle = true, 0
 				continue
 			}
 		}
 		if req, ok := w.hiQ.Pop(); ok {
-			st.idle.Store(false)
 			w.execute(ctx, req)
-			st.idle.Store(true)
-			idle = 0
-			continue
-		}
-		if req, ok := w.loQ.Pop(); ok {
-			st.idle.Store(false)
+		} else if req, ok := w.loQ.Pop(); ok {
 			w.runLow(ctx, req)
-			st.idle.Store(true)
-			ranLow = true
-			idle = 0
-			continue
-		}
-		// Both priority queues empty: help a neighbor's parallel scan before
-		// going idle. Morsel tasks run with the starvation meter armed, so a
-		// high-priority burst preempts the stolen work like any low-priority
-		// transaction.
-		if fn, ok := w.s.morselQ.Pop(); ok {
-			st.idle.Store(false)
-			w.runMorsel(ctx, fn)
-			st.idle.Store(true)
-			idle = 0
-			continue
-		}
-		// Nothing queued for this slot: resume a sibling parked mid-flight at
-		// a stall boundary rather than spinning while its transaction waits.
-		if target := w.stallParkedSibling(ctx.ID()); target != nil {
-			w.s.metrics.IncInterleaveSwitch()
-			ctx.SwapContext(target)
-			idle = 0
-			continue
-		}
-		// Idle: back off so other simulated cores get real CPU time.
-		idle++
-		if idle < 64 {
-			runtime.Gosched()
 		} else {
-			time.Sleep(10 * time.Microsecond)
+			// Idle: back off so other simulated cores get real CPU time.
+			idle++
+			if idle < 64 {
+				runtime.Gosched()
+			} else {
+				time.Sleep(10 * time.Microsecond)
+			}
+			continue
 		}
+		started, idle = true, 0
 	}
 }
 
-// preemptiveLoop is the last context's body: it wakes when switched to,
-// drains the high-priority queue (stopping early if the starvation threshold
-// is crossed, §5), and actively swaps the core back to the low slot it
-// interrupted.
+// preemptiveLoop is the preemptive context's body: it wakes when switched
+// to, drains the high-priority queue (stopping early if the starvation
+// threshold is crossed, §5), and actively swaps the core back to the
+// regular context.
 func (w *Worker) preemptiveLoop(ctx *pcontext.Context) {
 	thr := w.s.cfg.StarvationThreshold
+	regular := w.core.Context(0)
 	for !w.core.Done() {
 		for {
 			// >= so a threshold of 0 admits nothing on the preemptive
@@ -918,14 +675,10 @@ func (w *Worker) preemptiveLoop(ctx *pcontext.Context) {
 			w.execute(ctx, req)
 			w.core.AddHighPrioNanos(clock.Nanos() - start)
 		}
-		back := w.resumeTo
-		if back == nil {
-			back = w.core.Context(0) // woken before any interrupt (shutdown ping)
-		}
-		// Stamp the hand-back decision instant so the paused slot can report
-		// its resume latency once it actually runs.
-		w.slots[back.ID()].resumeAt = clock.Nanos()
-		ctx.SwapContext(back)
+		// Stamp the hand-back decision instant so the paused context can
+		// report its resume latency once it actually runs.
+		w.slots[0].resumeAt.Store(clock.Nanos())
+		ctx.SwapContext(regular)
 	}
 }
 
@@ -936,22 +689,6 @@ func (w *Worker) runLow(ctx *pcontext.Context, req *Request) {
 	ctx.BeginLowPrio()
 	w.execute(ctx, req)
 	ctx.EndLowPrio()
-}
-
-// runMorsel executes one stolen morsel helper task under low-priority
-// starvation accounting. The task arms/disarms its own lifecycle (the engine
-// helper does this), so the scheduler only brackets the starvation meter.
-func (w *Worker) runMorsel(ctx *pcontext.Context, fn func(*pcontext.Context)) {
-	w.s.morselsStolen.Add(1)
-	st := &w.slots[ctx.ID()]
-	savedPause, savedClass, savedStall, savedTag := st.pauseNs, st.curClass, st.stallNs, st.curTag
-	st.pauseNs, st.curClass, st.stallNs, st.curTag = 0, metrics.ClassLo, 0, ctx.TraceTag()
-	w.publish(ctx.ID(), pubRunning, metrics.ClassLo, st.curTag)
-	ctx.BeginLowPrio()
-	fn(ctx)
-	ctx.EndLowPrio()
-	st.pauseNs, st.curClass, st.stallNs, st.curTag = savedPause, savedClass, savedStall, savedTag
-	w.publish(ctx.ID(), pubIdle, 0, 0)
 }
 
 // boolByte packs a bool into a span detail byte.
@@ -998,14 +735,11 @@ func (w *Worker) execute(ctx *pcontext.Context, req *Request) {
 	if req.HighPriority {
 		class = metrics.ClassHi
 	}
-	// Fresh pause/stall accumulators for this request in the executing
-	// context's own slot; save/restore so nested occupancy of the same slot
-	// (the preemptive context draining several requests back to back, a
-	// morsel task) never bleeds accounting across requests. Cross-slot
-	// isolation needs no saving at all — each context indexes its own entry.
+	// Fresh pause accumulator for this request in the executing context's
+	// own slot; each context indexes its own entry, so the paused request's
+	// accounting is untouched by whatever the preemptive context runs.
 	st := &w.slots[ctx.ID()]
-	savedPause, savedClass, savedStall := st.pauseNs, st.curClass, st.stallNs
-	st.pauseNs, st.curClass, st.stallNs = 0, class, 0
+	st.pauseNs, st.curClass = 0, class
 	// Annotate trace events and engine-side observations (the commit path
 	// reads CLS.HighPrio to classify its WAL wait) for the duration of Work.
 	cls := ctx.CLS()
@@ -1041,17 +775,13 @@ func (w *Worker) execute(ctx *pcontext.Context, req *Request) {
 	ctx.Disarm()
 	ctx.SetTraceTag(savedTag)
 	cls.HighPrio = savedHi
-	pause, stall := st.pauseNs, st.stallNs
-	st.pauseNs, st.curClass, st.stallNs = savedPause, savedClass, savedStall
-	st.curTag = savedTag
+	pause := st.pauseNs
+	st.curClass, st.curTag = metrics.ClassLo, savedTag
 	w.publish(ctx.ID(), pubIdle, 0, 0)
 	m := w.s.metrics
-	m.Observe(class, metrics.PhaseExec, w.id, req.FinishedAt-req.StartedAt-pause-stall)
+	m.Observe(class, metrics.PhaseExec, w.id, req.FinishedAt-req.StartedAt-pause)
 	if pause > 0 {
 		m.Observe(class, metrics.PhasePauseTotal, w.id, pause)
-	}
-	if stall > 0 {
-		m.Observe(class, metrics.PhaseStallOverlap, w.id, stall)
 	}
 	if req.EnqueuedAt != 0 {
 		m.Observe(class, metrics.PhaseQueueWait, w.id, req.StartedAt-req.EnqueuedAt)

@@ -416,6 +416,31 @@ type errTest string
 
 func (e errTest) Error() string { return string(e) }
 
+// TestNewRejectsContextsPerCoreOtherThanTwo: a core is the paper's regular
+// context plus its preemptive context, so 0 (the default) and 2 build a
+// scheduler and every other value panics.
+func TestNewRejectsContextsPerCoreOtherThanTwo(t *testing.T) {
+	for _, k := range []int{0, 2} {
+		s := New(Config{Workers: 1, ContextsPerCore: k})
+		if got := s.Config().ContextsPerCore; got != 2 {
+			t.Fatalf("ContextsPerCore %d: effective %d, want 2", k, got)
+		}
+		if n := s.Workers()[0].Core().NumContexts(); n != 2 {
+			t.Fatalf("ContextsPerCore %d: core has %d contexts, want 2", k, n)
+		}
+	}
+	for _, k := range []int{-1, 1, 3, 4, 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with ContextsPerCore %d did not panic", k)
+				}
+			}()
+			New(Config{Workers: 1, ContextsPerCore: k})
+		}()
+	}
+}
+
 func TestStartTwicePanics(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.Start()
@@ -450,71 +475,6 @@ func TestManyWorkersRoundRobin(t *testing.T) {
 		if w.ExecutedHigh() == 0 {
 			t.Fatalf("worker %d executed nothing", w.ID())
 		}
-	}
-}
-
-// TestMorselStealing: an idle worker picks morsel helper tasks off the shared
-// queue while another worker's low-priority transaction is still running, and
-// the spawner resolves only for contexts attached to a scheduler worker.
-func TestMorselStealing(t *testing.T) {
-	s := New(Config{Policy: PolicyPreempt, Workers: 2})
-	s.Start()
-	defer s.Stop()
-
-	if MorselSpawner(pcontext.Detached()) != nil {
-		t.Fatal("detached context must not resolve a morsel spawner")
-	}
-	if MorselSpawner(nil) != nil {
-		t.Fatal("nil context must not resolve a morsel spawner")
-	}
-
-	var ran atomic.Int64
-	done := make(chan struct{})
-	s.SubmitLow(0, &Request{Work: func(ctx *pcontext.Context) error {
-		spawn := MorselSpawner(ctx)
-		if spawn == nil {
-			t.Error("worker context must resolve a morsel spawner")
-			return nil
-		}
-		const tasks = 4
-		for i := 0; i < tasks; i++ {
-			if !spawn(func(hctx *pcontext.Context) { ran.Add(1) }) {
-				t.Error("morsel queue rejected a task while nearly empty")
-			}
-		}
-		// The parent stays busy: only the idle worker 1 can steal.
-		for ran.Load() < tasks {
-			ctx.Poll()
-			runtime.Gosched()
-		}
-		close(done)
-		return nil
-	}})
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("morsel tasks never executed")
-	}
-	if got := s.MorselsStolen(); got != 4 {
-		t.Fatalf("MorselsStolen = %d, want 4", got)
-	}
-}
-
-// TestSubmitMorselFull: a full morsel queue reports false instead of blocking,
-// and nil tasks are rejected outright.
-func TestSubmitMorselFull(t *testing.T) {
-	s := New(Config{Workers: 1, MorselQueueSize: 2})
-	// Not started: nothing drains the queue.
-	if s.SubmitMorsel(nil) {
-		t.Fatal("nil task accepted")
-	}
-	for i := 0; i < 2; i++ {
-		if !s.SubmitMorsel(func(ctx *pcontext.Context) {}) {
-			t.Fatalf("push %d rejected below capacity", i)
-		}
-	}
-	if s.SubmitMorsel(func(ctx *pcontext.Context) {}) {
-		t.Fatal("push beyond capacity accepted")
 	}
 }
 

@@ -63,36 +63,13 @@ func NewClient(e *engine.Engine, cfg ScaleConfig) *Client {
 // Scale returns the loaded scale configuration.
 func (c *Client) Scale() ScaleConfig { return c.cfg }
 
-// Q2Exec controls how Q2 executes.
-type Q2Exec struct {
-	// YieldEvery > 0 places a handcrafted cooperative yield point after every
-	// YieldEvery nested query blocks (the paper's Cooperative (Handcrafted)
-	// baseline, §6.3); 0 disables it.
-	YieldEvery int
-	// Morsels > 1 partitions the outer PART scan into that many morsels and
-	// offers all but one to idle scheduler workers (morsel-driven
-	// parallelism); <= 1 runs the classic single-threaded plan. Either way
-	// every morsel executes under the same snapshot and the result is
-	// identical to the sequential query.
-	Morsels int
-}
-
 // Q2 runs the minimum-cost supplier query as one read-only snapshot
 // transaction. Every record access polls the transaction context, so the
 // whole query — scan, joins, nested subquery — is preemptible at record
-// granularity. yieldEvery is Q2Exec.YieldEvery; use Q2Ex for the parallel
-// variant.
+// granularity. yieldEvery > 0 places a handcrafted cooperative yield point
+// after every yieldEvery nested query blocks (the paper's Cooperative
+// (Handcrafted) baseline, §6.3); 0 disables it.
 func (c *Client) Q2(ctx *pcontext.Context, p Q2Params, yieldEvery int) ([]Q2Row, error) {
-	return c.Q2Ex(ctx, p, Q2Exec{YieldEvery: yieldEvery})
-}
-
-// Q2Ex runs Q2 with explicit execution options. The parallel plan fans the
-// outer PART scan out as morsels via engine.ParallelScan: each morsel —
-// including its nested partsupp/supplier/nation lookups — runs on a read-only
-// helper transaction pinned at the parent's snapshot, and idle scheduler
-// workers steal morsels through the shared queue. Helpers poll their own
-// contexts, so a high-priority burst preempts each of them independently.
-func (c *Client) Q2Ex(ctx *pcontext.Context, p Q2Params, exec Q2Exec) ([]Q2Row, error) {
 	tx := c.e.Begin(ctx)
 	defer tx.Abort()
 
@@ -112,82 +89,66 @@ func (c *Client) Q2Ex(ctx *pcontext.Context, p Q2Params, exec Q2Exec) ([]Q2Row, 
 		return nil, engine.ErrNotFound
 	}
 
-	// The morsel body: outer scan over one PART range with the size/type
-	// predicate, nested min-supplycost block per qualifying part, all on row
-	// views — nothing is copied out of a row until the result is cut. It only
-	// touches sub and morsel-local state, so morsels run concurrently.
-	// Candidates accumulate in part-key order within each morsel, and morsels
-	// merge in range order, so the pre-sort order matches the sequential plan.
-	body := func(sub *engine.Txn, m engine.Morsel) ([]q2Cand, error) {
-		var (
-			cands        []q2Cand
-			part         PartRow
-			first        int // cands[first:] are the current part's min-cost suppliers
-			nestedErr    error
-			kb           [20]byte // scratch for the nested block's keys
-			nestedBlocks int
-		)
-		nested := func(_, psRow []byte) bool {
-			ps := PartSuppRow(psRow)
-			supp, err := sub.Get(c.suppliers, keys.Uint32(kb[16:16], ps.SuppKey()))
-			var nat []byte
-			if err == nil {
-				nat, err = sub.Get(c.nations, keys.Uint32(kb[16:16], SupplierRow(supp).NationKey()))
+	// Outer scan over PART with the size/type predicate, nested min-supplycost
+	// block per qualifying part, all on row views — nothing is copied out of a
+	// row until the result is cut.
+	var (
+		cands        []q2Cand
+		part         PartRow
+		first        int // cands[first:] are the current part's min-cost suppliers
+		nestedErr    error
+		kb           [20]byte // scratch for the nested block's keys
+		nestedBlocks int
+	)
+	nested := func(_, psRow []byte) bool {
+		ps := PartSuppRow(psRow)
+		supp, err := tx.Get(c.suppliers, keys.Uint32(kb[16:16], ps.SuppKey()))
+		var nat []byte
+		if err == nil {
+			nat, err = tx.Get(c.nations, keys.Uint32(kb[16:16], SupplierRow(supp).NationKey()))
+		}
+		if err != nil {
+			if errors.Is(err, engine.ErrNotFound) {
+				return true // no join partner
 			}
-			if err != nil {
-				if errors.Is(err, engine.ErrNotFound) {
-					return true // no join partner
-				}
-				nestedErr = err // cancel or deadline: unwind, keep nothing
-				return false
-			}
-			if NationRow(nat).RegionKey() != regionKey {
-				return true
-			}
-			cost := ps.SupplyCost()
-			if len(cands) > first && cost != cands[first].cost {
-				if cost > cands[first].cost {
-					return true
-				}
-				cands = cands[:first] // new minimum
-			}
-			cands = append(cands, q2Cand{part: part, supp: supp, nat: nat, cost: cost})
+			nestedErr = err // cancel or deadline: unwind, keep nothing
+			return false
+		}
+		if NationRow(nat).RegionKey() != regionKey {
 			return true
 		}
-		err := sub.Scan(c.parts, m.From, m.To, func(_, row []byte) bool {
-			part = row
-			if part.Size() != p.Size || !part.TypeHasSuffix(p.TypeSuffix) {
+		cost := ps.SupplyCost()
+		if len(cands) > first && cost != cands[first].cost {
+			if cost > cands[first].cost {
 				return true
 			}
-			nestedBlocks++
-			first = len(cands)
-			from := keys.Uint32(keys.Uint32(kb[:0], part.Key()), 0)
-			to := keys.Uint32(keys.Uint32(kb[8:8], part.Key()+1), 0)
-			err := sub.Scan(c.partsupp, from, to, nested)
-			if nestedErr = cmp.Or(nestedErr, err); nestedErr != nil {
-				return false
-			}
-
-			// Handcrafted yield point, placed exactly where the paper put it:
-			// right outside the nested query block, taken every YieldEvery
-			// blocks — on the context actually running this morsel.
-			if exec.YieldEvery > 0 && nestedBlocks%exec.YieldEvery == 0 {
-				sched.Yield(sub.Context())
-			}
+			cands = cands[:first] // new minimum
+		}
+		cands = append(cands, q2Cand{part: part, supp: supp, nat: nat, cost: cost})
+		return true
+	}
+	err := tx.Scan(c.parts, nil, nil, func(_, row []byte) bool {
+		part = row
+		if part.Size() != p.Size || !part.TypeHasSuffix(p.TypeSuffix) {
 			return true
-		})
-		return cands, cmp.Or(nestedErr, err) // on error ParallelScan drops the partial result
-	}
+		}
+		nestedBlocks++
+		first = len(cands)
+		from := keys.Uint32(keys.Uint32(kb[:0], part.Key()), 0)
+		to := keys.Uint32(keys.Uint32(kb[8:8], part.Key()+1), 0)
+		err := tx.Scan(c.partsupp, from, to, nested)
+		if nestedErr = cmp.Or(nestedErr, err); nestedErr != nil {
+			return false
+		}
 
-	morsels := exec.Morsels
-	if morsels < 1 {
-		morsels = 1
-	}
-	cands, err := engine.ParallelScan(tx, c.parts, nil, nil,
-		engine.ParallelScanConfig{Morsels: morsels, Spawn: sched.MorselSpawner(ctx)},
-		body,
-		func(acc, part []q2Cand) []q2Cand { return append(acc, part...) })
-	if err != nil {
+		// Handcrafted yield point, placed exactly where the paper put it:
+		// right outside the nested query block, taken every yieldEvery blocks.
+		if yieldEvery > 0 && nestedBlocks%yieldEvery == 0 {
+			sched.Yield(tx.Context())
+		}
+		return true
+	})
+	if err = cmp.Or(nestedErr, err); err != nil {
 		return nil, err
 	}
 

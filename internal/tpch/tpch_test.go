@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"preemptdb/internal/engine"
-	"preemptdb/internal/pcontext"
 	"preemptdb/internal/rng"
-	"preemptdb/internal/sched"
 )
 
 var testScale = ScaleConfig{Parts: 600, Suppliers: 40, SuppsPerPart: 4, Seed: 5}
@@ -240,52 +238,6 @@ func BenchmarkQ2(b *testing.B) {
 		p := RandomQ2Params(r)
 		if _, err := c.Q2(nil, p, 0); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// TestQ2ParallelMatchesReference: the morsel-parallel plan returns exactly
-// the sequential/reference result, whether helpers are stolen by idle
-// scheduler workers or (detached context) every morsel runs inline.
-func TestQ2ParallelMatchesReference(t *testing.T) {
-	c := loadedClient(t)
-	r := rng.New(17)
-	// Detached context: spawner is nil, morsels run inline on the caller.
-	for i := 0; i < 5; i++ {
-		p := RandomQ2Params(r)
-		got, err := c.Q2Ex(nil, p, Q2Exec{Morsels: 8})
-		if err != nil {
-			t.Fatalf("q2ex(%+v): %v", p, err)
-		}
-		if want := c.Q2Reference(p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("q2ex(%+v): got %d rows, want %d", p, len(got), len(want))
-		}
-	}
-
-	// Under a scheduler: idle workers steal morsels off the shared queue.
-	s := sched.New(sched.Config{Policy: sched.PolicyPreempt, Workers: 4})
-	s.Start()
-	defer s.Stop()
-	for i := 0; i < 5; i++ {
-		p := RandomQ2Params(r)
-		done := make(chan error, 1)
-		var got []Q2Row
-		s.SubmitLow(0, &sched.Request{Work: func(ctx *pcontext.Context) error {
-			rows, err := c.Q2Ex(ctx, p, Q2Exec{Morsels: 8, YieldEvery: 0})
-			got = rows
-			done <- err
-			return err
-		}})
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("scheduled q2ex(%+v): %v", p, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("scheduled Q2Ex stuck")
-		}
-		if want := c.Q2Reference(p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("scheduled q2ex(%+v): got %d rows, want %d", p, len(got), len(want))
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Live scheduler introspection: a consistent, lock-free view of what every
-// core is doing right now — which slot runs, which is preempted or
-// stall-parked, whose transaction occupies it, how starved the paused work is
+// core is doing right now — which context runs, which is preempted, whose
+// transaction occupies it, how starved the paused work is
 // — plus queue depths and the admission picture. The per-slot state is
 // published by the owning worker through a seqlock (sched.Worker.SlotTable),
 // so sampling it from here never touches the commit path and never tears.
@@ -39,7 +39,7 @@ type SchedDebug struct {
 }
 
 // SchedState samples the live scheduler state of every shard: per-core queue
-// depths and per-slot occupancy (running / preempted / stall-parked, class,
+// depths and per-slot occupancy (running / preempted, class,
 // trace tag, starvation level). The sample is safe to take at any frequency
 // while the database runs — slot state is read through a per-slot seqlock the
 // workers publish to outside their hot path — and each slot's record is

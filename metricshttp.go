@@ -161,7 +161,6 @@ func writePromCounters(w http.ResponseWriter, st Stats) {
 	counter("starvation_skips_total", "Dispatches withheld by starvation prevention.", st.StarvationSkips)
 	counter("log_bytes_total", "Framed WAL bytes written.", st.LogBytes)
 	counter("log_batches_total", "Group-commit batches written.", st.LogBatches)
-	counter("morsels_stolen_total", "Parallel-scan morsels run by idle workers.", st.MorselsStolen)
 	walFailed := 0
 	if st.WALFailed {
 		walFailed = 1

@@ -220,12 +220,11 @@ func TestFlightRecorderOnSLOBreach(t *testing.T) {
 // with -race to check the sampling paths are data-race-free.
 func TestIntrospectionUnderFire(t *testing.T) {
 	db, err := Open("", Config{
-		Shards:          2,
-		Workers:         2,
-		ContextsPerCore: 3,
-		Policy:          PolicyPreempt,
-		TraceSampling:   1,
-		TraceCapacity:   1 << 14,
+		Shards:        2,
+		Workers:       2,
+		Policy:        PolicyPreempt,
+		TraceSampling: 1,
+		TraceCapacity: 1 << 14,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +309,7 @@ func TestIntrospectionUnderFire(t *testing.T) {
 
 	// Introspection hammer: every surface, as fast as possible.
 	var samples atomic.Int64
-	validStates := map[string]bool{"idle": true, "running": true, "stall-parked": true, "preempted": true}
+	validStates := map[string]bool{"idle": true, "running": true, "preempted": true}
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func() {

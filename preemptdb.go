@@ -4,13 +4,13 @@
 // Userspace Interrupts: Why Wait or Yield When You Can Preempt?" (SIGMOD
 // 2025).
 //
-// A DB owns a set of worker cores, each hosting two transaction contexts by
-// default (Config.ContextsPerCore raises this to a K-way ring that hides
-// simulated stalls by interleaving low-priority transactions). Transactions
-// are submitted with a priority; under PolicyPreempt, a high-priority
-// transaction interrupts an in-progress low-priority one at the next
-// instruction boundary, runs on the worker's preemptive context, and then
-// resumes the paused transaction — it is paused, never aborted.
+// A DB owns a set of worker cores, each hosting the paper's two transaction
+// contexts: a regular context for low-priority work and a preemptive one.
+// Transactions are submitted with a priority; under PolicyPreempt, a
+// high-priority transaction interrupts an in-progress low-priority one at the
+// next instruction boundary, runs on the worker's preemptive context, and then
+// resumes the paused transaction — it is paused, never aborted. A
+// high-priority transaction is never interrupted itself.
 //
 // Quick start:
 //
@@ -135,15 +135,6 @@ type Config struct {
 	// file-backed database's on-disk layout and must not change across opens
 	// of the same directory.
 	Shards int
-	// ContextsPerCore is the number of execution contexts each simulated
-	// core multiplexes (default 2: one regular plus one preemptive, the
-	// paper's evaluated configuration — and the exact pre-K-way code path).
-	// Values above 2 add low-priority slots that a worker interleaves at
-	// simulated stall boundaries (B+tree node descents, version-chain hops):
-	// when one transaction "stalls", the core rotates to a sibling slot
-	// instead of waiting, CoroBase-style, while the preemptive context keeps
-	// absolute priority. Clamped to [2, 16].
-	ContextsPerCore int
 	// Policy is the scheduling discipline. Default PolicyWait.
 	Policy Policy
 	// Isolation is the isolation level for all transactions.
@@ -478,7 +469,6 @@ func (sh *shard) startShard(cfg Config, traceIDs *atomic.Uint64) {
 	sh.sch = sched.New(sched.Config{
 		Policy:              cfg.Policy.toSched(),
 		Workers:             cfg.Workers,
-		ContextsPerCore:     cfg.ContextsPerCore,
 		HiQueueSize:         cfg.HiQueueSize,
 		LoQueueSize:         cfg.LoQueueSize,
 		YieldInterval:       cfg.YieldInterval,
@@ -1020,20 +1010,9 @@ type Stats struct {
 	// failure (see ReadOnly).
 	WALFailed bool
 	// IndexRestarts counts optimistic B+tree operation restarts (version
-	// validation failures under concurrent structural modification);
-	// PartitionRestarts counts restarts of the morsel partition sampler
-	// specifically. Both measure contention, not errors.
-	IndexRestarts     uint64
-	PartitionRestarts uint64
-	// MorselsStolen counts parallel-scan morsel tasks executed by idle
-	// workers on behalf of another worker's analytical transaction.
-	MorselsStolen uint64
-	// StallYields counts stall-boundary rotations: a low-priority context
-	// parked mid-transaction in favor of a sibling slot (K-way interleaving;
-	// zero at the default ContextsPerCore of 2). InterleaveSwitches counts
-	// switches that resumed such a stall-parked transaction.
-	StallYields        uint64
-	InterleaveSwitches uint64
+	// validation failures under concurrent structural modification). It
+	// measures contention, not errors.
+	IndexRestarts uint64
 	// CacheHits / CacheMisses / CacheInvalidations count hot-key cache
 	// traffic: reads served without entering a scheduler core, reads that
 	// fell through to MVCC, and entries removed by committing writers. All
@@ -1071,10 +1050,6 @@ func (sh *shard) stats() Stats {
 		AbortsOther:        sh.aborts.Load(metrics.AbortOther),
 		WALFailed:          sh.eng.WALErr() != nil,
 		IndexRestarts:      sh.eng.IndexRestarts(),
-		PartitionRestarts:  sh.eng.PartitionRestarts(),
-		MorselsStolen:      sh.sch.MorselsStolen(),
-		StallYields:        sh.sch.StallYields(),
-		InterleaveSwitches: sh.sch.InterleaveSwitches(),
 		CacheHits:          sh.reg.CacheHits(),
 		CacheMisses:        sh.reg.CacheMisses(),
 		CacheInvalidations: sh.reg.CacheInvalidations(),
@@ -1110,10 +1085,6 @@ func (st *Stats) add(o Stats) {
 	st.AbortsOther += o.AbortsOther
 	st.WALFailed = st.WALFailed || o.WALFailed
 	st.IndexRestarts += o.IndexRestarts
-	st.PartitionRestarts += o.PartitionRestarts
-	st.MorselsStolen += o.MorselsStolen
-	st.StallYields += o.StallYields
-	st.InterleaveSwitches += o.InterleaveSwitches
 	st.CacheHits += o.CacheHits
 	st.CacheMisses += o.CacheMisses
 	st.CacheInvalidations += o.CacheInvalidations
@@ -1311,62 +1282,6 @@ func (t *Txn) ScanIndex(table, index string, from, to []byte, fn func(key, value
 // ScanIndexDesc is ScanIndex in descending index-key order.
 func (t *Txn) ScanIndexDesc(table, index string, from, to []byte, fn func(key, value []byte) bool) error {
 	return t.mergeScan(table, index, from, to, true, fn)
-}
-
-// ParallelScan visits every visible row with from <= key < to, like Scan,
-// but partitions the range into morsels and lets idle workers execute them
-// concurrently as read-only helpers pinned at this transaction's snapshot —
-// morsel-driven parallelism for analytical scans. morsels is the target
-// fan-out (0 picks a default); the transaction must have no uncommitted
-// writes. fn may be called concurrently from several workers and must be
-// safe for that; rows arrive in key order within a morsel but morsels
-// interleave. fn returns false to stop the scan early (remaining morsels are
-// skipped at record granularity, so a few extra calls may still arrive).
-// Each helper is independently preemptible: a high-priority burst interrupts
-// every morsel at its next record access.
-// On a sharded database the range is scanned shard by shard, each shard's
-// morsels fanned out to this request's worker pool; its own engine serves the
-// reads, pinned at the shard participant's snapshot.
-func (t *Txn) ParallelScan(table string, from, to []byte, morsels int, fn func(key, value []byte) bool) error {
-	var stop atomic.Bool
-	scanShard := func(p *engine.Txn, tab *engine.Table) error {
-		_, err := engine.ParallelScan(p, tab, from, to,
-			engine.ParallelScanConfig{Morsels: morsels, Spawn: sched.MorselSpawner(t.ctx)},
-			func(sub *engine.Txn, m engine.Morsel) (struct{}, error) {
-				if stop.Load() {
-					return struct{}{}, nil
-				}
-				return struct{}{}, sub.Scan(tab, m.From, m.To, func(k, v []byte) bool {
-					if stop.Load() {
-						return false
-					}
-					if !fn(k, v) {
-						stop.Store(true)
-						return false
-					}
-					return true
-				})
-			},
-			func(a, _ struct{}) struct{} { return a })
-		return err
-	}
-	for si := range t.db.shards {
-		if stop.Load() {
-			return nil
-		}
-		tab, err := t.db.shards[si].eng.Table(table)
-		if err != nil {
-			return err
-		}
-		p, err := t.part(si)
-		if err != nil {
-			return err
-		}
-		if err := scanShard(p, tab); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Yield is a handcrafted cooperative yield point (used with

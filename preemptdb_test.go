@@ -453,72 +453,3 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatal("commits not counted")
 	}
 }
-
-func TestParallelScanAPI(t *testing.T) {
-	db := openTest(t, Config{Workers: 4, Policy: PolicyPreempt})
-	db.CreateTable("rows")
-	const n = 20000
-	var want uint64
-	if err := db.Run(func(tx *Txn) error {
-		for i := 0; i < n; i++ {
-			// Fresh buffers per row: the engine stores key/value by reference.
-			var k [4]byte
-			var v [8]byte
-			binary.BigEndian.PutUint32(k[:], uint32(i))
-			binary.LittleEndian.PutUint64(v[:], uint64(i))
-			if err := tx.Insert("rows", k[:], v[:]); err != nil {
-				return err
-			}
-			want += uint64(i)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	var sum, count atomic.Uint64
-	if err := db.Exec(Low, func(tx *Txn) error {
-		return tx.ParallelScan("rows", nil, nil, 16, func(k, v []byte) bool {
-			sum.Add(binary.LittleEndian.Uint64(v))
-			count.Add(1)
-			return true
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != want || count.Load() != n {
-		t.Fatalf("sum=%d count=%d, want %d/%d", sum.Load(), count.Load(), want, n)
-	}
-
-	// Early stop: the scan unwinds without visiting everything.
-	var visited atomic.Uint64
-	if err := db.Exec(Low, func(tx *Txn) error {
-		return tx.ParallelScan("rows", nil, nil, 16, func(k, v []byte) bool {
-			return visited.Add(1) < 10
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := visited.Load(); got >= n {
-		t.Fatalf("early stop visited all %d rows", got)
-	}
-
-	// Writer transactions cannot ParallelScan.
-	err := db.Run(func(tx *Txn) error {
-		if err := tx.Put("rows", []byte("zzzz"), []byte("x")); err != nil {
-			return err
-		}
-		return tx.ParallelScan("rows", nil, nil, 4, func(_, _ []byte) bool { return true })
-	})
-	if err == nil {
-		t.Fatal("ParallelScan on a writer parent must fail")
-	}
-
-	st := db.Stats()
-	if st.MorselsStolen == 0 {
-		t.Log("no morsels stolen (all inline) — acceptable but unusual with 4 workers")
-	}
-	if st.PartitionRestarts > st.IndexRestarts+1<<20 {
-		t.Fatalf("restart counters implausible: %+v", st)
-	}
-}

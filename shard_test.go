@@ -545,32 +545,6 @@ func TestSingleShardLayoutUnchanged(t *testing.T) {
 	}
 }
 
-func TestShardParallelScan(t *testing.T) {
-	db := openShardedMem(t, 3)
-	const n = 500
-	for i := 0; i < n; i++ {
-		k := shardKey(t, db, i)
-		if err := db.Run(func(tx *Txn) error { return tx.Insert("kv", k, k) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var mu sync.Mutex
-	seen := make(map[string]bool)
-	if err := db.Exec(Low, func(tx *Txn) error {
-		return tx.ParallelScan("kv", nil, nil, 4, func(k, v []byte) bool {
-			mu.Lock()
-			seen[string(k)] = true
-			mu.Unlock()
-			return true
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != n {
-		t.Fatalf("parallel scan visited %d distinct keys, want %d", len(seen), n)
-	}
-}
-
 func TestShardsConfigValidation(t *testing.T) {
 	if _, err := Open("", Config{Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted")
