@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"preemptdb/internal/clock"
 	"preemptdb/internal/metrics"
@@ -219,6 +218,9 @@ type Scheduler struct {
 	shedExpired     atomic.Uint64
 	shedCanceled    atomic.Uint64
 	started         bool
+	// stopping is set by Stop before it wakes the workers, so a worker
+	// about to park sees it even before its core reports Done.
+	stopping atomic.Bool
 
 	// metrics is the shared phase-latency registry (never nil after New).
 	metrics *metrics.Registry
@@ -247,6 +249,12 @@ type Worker struct {
 
 	executedHi atomic.Uint64
 	executedLo atomic.Uint64
+
+	// sleeping is set while the regular context is committing to park on
+	// wake; a submitter that pushes and then sees it posts the token.
+	sleeping atomic.Bool
+	wake     chan struct{} // one-slot wake token
+	parks    atomic.Uint64
 
 	// slots[i] is the request accounting for context i, so a request on the
 	// preemptive context never clobbers the paused one's state. Plain fields
@@ -424,6 +432,9 @@ func (w *Worker) ExecutedHigh() uint64 { return w.executedHi.Load() }
 // ExecutedLow returns the number of completed low-priority requests.
 func (w *Worker) ExecutedLow() uint64 { return w.executedLo.Load() }
 
+// Parks returns how many times the regular context has parked idle.
+func (w *Worker) Parks() uint64 { return w.parks.Load() }
+
 // New builds a scheduler; call Start to launch the workers. It panics when
 // cfg.ContextsPerCore is neither 0 nor 2.
 func New(cfg Config) *Scheduler {
@@ -443,6 +454,7 @@ func New(cfg Config) *Scheduler {
 			core: pcontext.NewCore(i, contextsPerCore),
 			hiQ:  queue.NewMPMC[*Request](cfg.HiQueueSize),
 			loQ:  queue.NewMPMC[*Request](cfg.LoQueueSize),
+			wake: make(chan struct{}, 1),
 		}
 		w.core.SetUserData(w)
 		if cfg.TraceCapacity > 0 {
@@ -506,10 +518,13 @@ func (s *Scheduler) Start() {
 // Stop shuts every worker down and waits for their contexts to exit.
 // Requests still queued are dropped.
 func (s *Scheduler) Stop() {
+	s.stopping.Store(true)
 	for _, w := range s.workers {
 		// Wake the core via a shutdown vector in case it sits in a long
-		// transaction polling only for interrupts.
+		// transaction polling only for interrupts, and via its wake token in
+		// case it is parked idle.
 		uintr.SendUIPI(w.core.Receiver().UPID(), uintr.VecShutdown)
+		w.wakeIfParked()
 	}
 	for _, w := range s.workers {
 		w.core.Shutdown()
@@ -614,6 +629,10 @@ func Yield(ctx *pcontext.Context) {
 	w.yieldPoint(ctx)
 }
 
+// idleSpins is how many Gosched rounds an idle regular context spends
+// re-checking its queues before it parks (DESIGN.md §10, "Idle worker").
+const idleSpins = 8
+
 // slotLoop is the regular context's body. It prefers the high-priority
 // queue between transactions (all policies do, per §6.1's Wait definition),
 // then runs low-priority transactions with starvation accounting armed.
@@ -639,16 +658,49 @@ func (w *Worker) slotLoop(ctx *pcontext.Context) {
 		} else if req, ok := w.loQ.Pop(); ok {
 			w.runLow(ctx, req)
 		} else {
-			// Idle: back off so other simulated cores get real CPU time.
+			// Idle: yield the thread for a few rounds, then park until a
+			// submitter or Stop posts the wake token.
 			idle++
-			if idle < 64 {
+			if idle <= idleSpins {
 				runtime.Gosched()
 			} else {
-				time.Sleep(10 * time.Microsecond)
+				w.park()
 			}
 			continue
 		}
 		started, idle = true, 0
+	}
+}
+
+// park blocks the idle regular context on its wake token. It publishes
+// sleeping before re-checking the queues and Stop; a submitter pushes before
+// it reads sleeping. Both sides use sequentially consistent atomics and Len
+// counts a claimed ticket before its slot is published, so either the
+// re-check sees the push (and the loop pops it or spins until it is
+// published) or the submitter sees sleeping and posts. No timer backs this
+// up: one would only hide a lost wake-up.
+func (w *Worker) park() {
+	w.sleeping.Store(true)
+	if w.hiQ.Len() > 0 || w.loQ.Len() > 0 || w.s.stopping.Load() {
+		w.sleeping.Store(false)
+		runtime.Gosched()
+		return
+	}
+	w.parks.Add(1)
+	<-w.wake
+	w.sleeping.Store(false)
+}
+
+// wakeIfParked posts w's wake token when its regular context has published
+// sleeping. Callers first make their push, or stopping, visible; a token
+// already pending covers this post too.
+func (w *Worker) wakeIfParked() {
+	if !w.sleeping.Load() {
+		return
+	}
+	select {
+	case w.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -805,7 +857,12 @@ func (s *Scheduler) SubmitLow(wid int, req *Request) bool {
 	if req.EnqueuedAt == 0 {
 		req.EnqueuedAt = clock.Nanos()
 	}
-	return s.workers[wid].loQ.Push(req)
+	w := s.workers[wid]
+	if !w.loQ.Push(req) {
+		return false
+	}
+	w.wakeIfParked()
+	return true
 }
 
 // SubmitHighBatch implements batched on-demand preemption (§5): requests are
@@ -851,6 +908,7 @@ func (s *Scheduler) SubmitHighBatch(reqs []*Request) int {
 				uintr.SendUIPI(w.core.Receiver().UPID(), uintr.VecPreempt)
 				s.interruptsSent.Add(1)
 			}
+			w.wakeIfParked()
 		}
 	}
 	return accepted
