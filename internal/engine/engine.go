@@ -51,14 +51,6 @@ type Config struct {
 	// sink supports it; committers are released only once their batch is
 	// durable.
 	SyncEachCommit bool
-	// MaxBatchBytes stops a group-commit leader's gathering wait once the
-	// open batch reaches this many framed bytes (0: no byte bound).
-	MaxBatchBytes int
-	// MaxBatchDelay bounds the extra latency a group-commit leader spends
-	// gathering followers before writing its batch (0: write as soon as the
-	// previous batch's I/O completes; batching then comes only from natural
-	// I/O overlap).
-	MaxBatchDelay time.Duration
 	// VacuumInterval, when non-zero, starts a background goroutine that
 	// incrementally trims version chains: every tick it walks a bounded
 	// slice of VacuumBatch records from a persistent cursor, using the
@@ -154,7 +146,6 @@ func New(cfg Config) *Engine {
 		traceAll:   cfg.TraceSampling > 0,
 		traceSpans: cfg.TraceSampling >= 0,
 	}
-	e.log.SetBatchLimits(cfg.MaxBatchBytes, cfg.MaxBatchDelay)
 	if cfg.VacuumInterval > 0 {
 		e.vacStop = make(chan struct{})
 		e.vacWG.Add(1)

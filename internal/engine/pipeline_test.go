@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -161,10 +162,8 @@ func runPipelineCase(t *testing.T, step mvcc.Step, out pipeOutcome, guest bool) 
 	switch out {
 	case okFollower:
 		// Stage a first frame directly on the log so the step enrols behind
-		// an open batch. The byte bound makes the joiner cut the leader's
-		// gathering wait short, so LeaderFinish below returns as soon as —
-		// and only once — the step under test has staged.
-		e.Log().SetBatchLimits(1, pipeDeadline)
+		// an open batch as its second buffer; LeaderFinish below runs only
+		// once the open batch holds it.
 		lead = wal.NewBuffer()
 		lead.Append(wal.RecInsert, tbl.ID(), []byte("lead"), []byte("x"))
 		if leader, err := e.Log().Stage(1<<40, e.Oracle().Clock(), lead); err != nil || !leader {
@@ -233,6 +232,11 @@ func runPipelineCase(t *testing.T, step mvcc.Step, out pipeOutcome, guest bool) 
 	if out == okFollower {
 		done := make(chan error, 1)
 		go func() { done <- run() }()
+		for wait := time.Now().Add(pipeDeadline); e.Log().OpenBatchLen() < 2; runtime.Gosched() {
+			if time.Now().After(wait) {
+				t.Fatal("step never enrolled behind the open batch")
+			}
+		}
 		if _, lerr := e.Log().LeaderFinish(lead); lerr != nil {
 			t.Fatal(lerr)
 		}

@@ -31,9 +31,7 @@ package hotcache
 
 import (
 	"sync"
-	"time"
 
-	"preemptdb/internal/clock"
 	"preemptdb/internal/metrics"
 	"preemptdb/internal/wal"
 )
@@ -52,8 +50,6 @@ type Config struct {
 	// MaxBytes bounds the cache's total memory charge (keys + values +
 	// bookkeeping). Least-recently-used entries are evicted past it.
 	MaxBytes int64
-	// TTL, when > 0, additionally expires entries this long after their fill.
-	TTL time.Duration
 	// Shards is the number of lock shards (rounded up to a power of two,
 	// default 8). More shards cut contention between readers and committers.
 	Shards int
@@ -65,7 +61,6 @@ type Config struct {
 type Cache struct {
 	shards []cshard
 	mask   uint64
-	ttl    int64
 	reg    *metrics.Registry
 }
 
@@ -74,7 +69,6 @@ type entry struct {
 	table      uint32
 	val        []byte
 	ts         uint64 // commit timestamp the value was read at
-	exp        int64  // clock.Nanos expiry, 0 = none
 	size       int64
 	prev, next *entry // LRU list, most recent at head.next
 }
@@ -104,9 +98,6 @@ func New(cfg Config) *Cache {
 		n++
 	}
 	c := &Cache{shards: make([]cshard, n), mask: uint64(n - 1), reg: cfg.Metrics}
-	if cfg.TTL > 0 {
-		c.ttl = int64(cfg.TTL)
-	}
 	budget := cfg.MaxBytes / int64(n)
 	if budget < 1 {
 		budget = 1
@@ -169,12 +160,6 @@ func (c *Cache) lookup(table uint32, key []byte, begin uint64, countMiss bool) (
 	}
 	e, ok := m[string(key)]
 	if !ok {
-		sh.mu.Unlock()
-		c.miss(countMiss)
-		return nil, false
-	}
-	if e.exp != 0 && clock.Nanos() > e.exp {
-		sh.remove(e)
 		sh.mu.Unlock()
 		c.miss(countMiss)
 		return nil, false
@@ -248,9 +233,6 @@ func (c *Cache) TryFill(tok FillToken, table uint32, key, val []byte, ts uint64)
 		val:   append([]byte(nil), val...),
 		ts:    ts,
 		size:  int64(len(key)+len(val)) + entryOverhead,
-	}
-	if c.ttl > 0 {
-		e.exp = clock.Nanos() + c.ttl
 	}
 	m[e.key] = e
 	sh.pushFront(e)

@@ -147,24 +147,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := New(Config{MaxBytes: 1 << 20, TTL: time.Millisecond})
-	fill(t, c, 1, "k", "v", 1)
-	deadline := time.Now().Add(time.Second)
-	for {
-		if _, ok := c.Lookup(1, []byte("k"), 9); !ok {
-			break // expired
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("entry never expired")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := c.Len(); n != 0 {
-		t.Fatalf("expired entry still resident, Len=%d", n)
-	}
-}
-
 func TestCounters(t *testing.T) {
 	c := newTest(1 << 20)
 	fill(t, c, 1, "k", "v", 1)

@@ -88,12 +88,11 @@ type Registry struct {
 
 	// Front-end counters: hot-key cache traffic (hits served without entering
 	// a scheduler core, misses that fell through to MVCC, entries invalidated
-	// by commits) and connections/requests shed by edge admission. connsOpen
-	// is a gauge — the number of currently open server connections.
+	// by commits). connsOpen is a gauge — the number of currently open server
+	// connections.
 	cacheHits          atomic.Uint64
 	cacheMisses        atomic.Uint64
 	cacheInvalidations atomic.Uint64
-	connsShed          atomic.Uint64
 	connsOpen          atomic.Int64
 }
 
@@ -191,14 +190,6 @@ func (r *Registry) IncCacheInvalidations() {
 	r.cacheInvalidations.Add(1)
 }
 
-// IncConnsShed counts one connection or request shed by edge admission.
-func (r *Registry) IncConnsShed() {
-	if r == nil {
-		return
-	}
-	r.connsShed.Add(1)
-}
-
 // AddConnsOpen moves the open-connections gauge by delta (+1 accept, -1 close).
 func (r *Registry) AddConnsOpen(delta int64) {
 	if r == nil {
@@ -229,14 +220,6 @@ func (r *Registry) CacheInvalidations() uint64 {
 		return 0
 	}
 	return r.cacheInvalidations.Load()
-}
-
-// ConnsShed returns the edge-admission shed count.
-func (r *Registry) ConnsShed() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.connsShed.Load()
 }
 
 // ConnsOpen returns the open-connections gauge.
@@ -290,12 +273,11 @@ type RegistrySnapshot struct {
 	Hi            PhaseSummaries `json:"hi"`
 	Lo            PhaseSummaries `json:"lo"`
 	UintrDelivery Summary        `json:"uintr_delivery"`
-	// Front-end counters: hot-key cache traffic and edge-admission shedding.
-	// ConnsOpen is a point-in-time gauge, not a counter.
+	// Front-end counters: hot-key cache traffic, and ConnsOpen, a
+	// point-in-time gauge rather than a counter.
 	CacheHits          uint64 `json:"cache_hits"`
 	CacheMisses        uint64 `json:"cache_misses"`
 	CacheInvalidations uint64 `json:"cache_invalidations"`
-	ConnsShed          uint64 `json:"conns_shed"`
 	ConnsOpen          int64  `json:"conns_open"`
 	// SLOBreaches count end-to-end (PhaseTotal) samples that exceeded the
 	// per-class SLO watermark; zero when no SLO is configured.
@@ -322,7 +304,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	snap.CacheHits = r.cacheHits.Load()
 	snap.CacheMisses = r.cacheMisses.Load()
 	snap.CacheInvalidations = r.cacheInvalidations.Load()
-	snap.ConnsShed = r.connsShed.Load()
 	snap.ConnsOpen = r.connsOpen.Load()
 	snap.SLOBreachesHi = r.sloBreaches[ClassHi].Load()
 	snap.SLOBreachesLo = r.sloBreaches[ClassLo].Load()
@@ -363,7 +344,6 @@ func MergedSnapshot(regs []*Registry) RegistrySnapshot {
 		snap.CacheHits += r.CacheHits()
 		snap.CacheMisses += r.CacheMisses()
 		snap.CacheInvalidations += r.CacheInvalidations()
-		snap.ConnsShed += r.ConnsShed()
 		snap.ConnsOpen += r.ConnsOpen()
 		snap.SLOBreachesHi += r.SLOBreaches(ClassHi)
 		snap.SLOBreachesLo += r.SLOBreaches(ClassLo)
@@ -399,9 +379,6 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP preemptdb_cache_invalidations_total Cache entries removed by committing writers.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_cache_invalidations_total counter\n")
 	fmt.Fprintf(w, "preemptdb_cache_invalidations_total %d\n", s.CacheInvalidations)
-	fmt.Fprintf(w, "# HELP preemptdb_conns_shed_total Connections and requests shed by edge admission.\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_conns_shed_total counter\n")
-	fmt.Fprintf(w, "preemptdb_conns_shed_total %d\n", s.ConnsShed)
 	fmt.Fprintf(w, "# HELP preemptdb_conns_open Currently open server connections.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_conns_open gauge\n")
 	fmt.Fprintf(w, "preemptdb_conns_open %d\n", s.ConnsOpen)

@@ -338,22 +338,32 @@ func (t *Txn) Update(rec *Record, data []byte) error {
 	for {
 		t.ctx.Poll()
 		h := rec.head.Load()
-		if h != nil {
-			cts, committed, owner := h.resolve()
-			switch {
-			case owner == t:
+		// Judge the newest version that is not aborted, as readers do. An
+		// aborted version can head the chain: its writer's unlink is best
+		// effort, and a later aborter's unlink pops back onto it. Stopping
+		// there would hide a committed version newer than our snapshot from
+		// first-updater-wins, and its update would be lost.
+		for v := h; v != nil; v = v.prev.Load() {
+			cts, committed, owner := v.resolve()
+			if owner == t {
 				// Second write to the same record: fold into our in-flight
 				// version. It is invisible to every other transaction, so
 				// in-place replacement is safe.
-				h.data = data
+				v.data = data
 				return nil
-			case owner != nil:
-				return ErrWriteConflict // in-flight foreign writer
-			case committed && cts > t.begin:
-				return ErrWriteConflict // first-updater-wins
 			}
-			// Committed-visible or aborted head: supersede it.
+			if owner != nil {
+				return ErrWriteConflict // in-flight foreign writer
+			}
+			if committed {
+				if cts > t.begin {
+					return ErrWriteConflict // first-updater-wins
+				}
+				break
+			}
 		}
+		// The newest version that counts is visible to us (or there is
+		// none): supersede the head.
 		if nv == nil {
 			if t.slot != nil {
 				nv = t.slot.newVersion()

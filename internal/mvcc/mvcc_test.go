@@ -156,6 +156,43 @@ func TestUpdateAfterConflictingWriterAborts(t *testing.T) {
 	}
 }
 
+// TestUpdateSeesPastAbortedHead: an aborted version left at the head (an
+// unlink that lost its race leaves one there) must not hide a committed
+// version newer than the updater's snapshot. First-updater-wins still
+// refuses the write; otherwise the newer commit's update would be lost.
+func TestUpdateSeesPastAbortedHead(t *testing.T) {
+	o := NewOracle()
+	rec := NewRecord()
+	setup := begin(o, SnapshotIsolation)
+	setup.Update(rec, []byte("v0"))
+	mustCommit(t, setup)
+	old := begin(o, SnapshotIsolation)
+	if d, ok := old.Read(rec); !ok || string(d) != "v0" {
+		t.Fatalf("old snapshot reads %q %v", d, ok)
+	}
+	newer := begin(o, SnapshotIsolation)
+	newer.Update(rec, []byte("v2"))
+	mustCommit(t, newer)
+	dead := &Version{data: []byte("dead")}
+	dead.cts.Store(ctsAborted)
+	dead.prev.Store(rec.head.Load())
+	rec.head.Store(dead)
+
+	if err := old.Update(rec, []byte("v1")); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("update from a snapshot older than the committed version under an aborted head = %v, want ErrWriteConflict", err)
+	}
+	old.Abort()
+	fresh := begin(o, SnapshotIsolation)
+	if err := fresh.Update(rec, []byte("v3")); err != nil {
+		t.Fatalf("update from a snapshot covering every commit: %v", err)
+	}
+	mustCommit(t, fresh)
+	r := begin(o, SnapshotIsolation)
+	if d, ok := r.Read(rec); !ok || string(d) != "v3" {
+		t.Fatalf("got %q %v", d, ok)
+	}
+}
+
 func TestAbortUnlinksHead(t *testing.T) {
 	o := NewOracle()
 	rec := NewRecord()

@@ -1,50 +1,63 @@
 package sched
 
 import (
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"preemptdb/internal/pcontext"
 )
 
+// TestRepeatedPreemption: a low-priority request polls until ten
+// high-priority requests, submitted one after another, have all run. Each of
+// them starts while the low one is in flight, so each must run on the
+// preemptive context. A regression that loses interrupts after the first
+// switch leaves a high request queued behind a low one that never finishes,
+// and the watchdog reports it.
 func TestRepeatedPreemption(t *testing.T) {
 	s := New(Config{Policy: PolicyPreempt, Workers: 1})
 	s.Start()
 	defer s.Stop()
 
-	loDone := make(chan struct{})
+	const rounds = 10
+	var hiRan atomic.Int64
+	var running, giveUp atomic.Bool
+	defer giveUp.Store(true) // a failed round must not leave the low request polling under Stop
+	loStarted, loDone := make(chan struct{}), make(chan struct{})
 	s.SubmitLow(0, &Request{Work: func(ctx *pcontext.Context) error {
-		spinFor(ctx, 300*time.Millisecond)
+		running.Store(true)
+		close(loStarted)
+		for hiRan.Load() < rounds && !giveUp.Load() {
+			ctx.Poll()
+		}
+		running.Store(false)
 		close(loDone)
 		return nil
 	}})
-	time.Sleep(5 * time.Millisecond)
-	for i := 0; i < 10; i++ {
-		hiDone := make(chan *Request, 1)
-		req := &Request{Work: func(ctx *pcontext.Context) error { return nil },
-			OnDone: func(r *Request) { hiDone <- r }}
+	waitChan(t, loStarted, "low request never started")
+	for i := 0; i < rounds; i++ {
+		hiDone := make(chan struct{})
+		var ranOn int
+		var duringLow bool
+		req := &Request{Work: func(ctx *pcontext.Context) error {
+			ranOn, duringLow = ctx.ID(), running.Load()
+			hiRan.Add(1)
+			return nil
+		}, OnDone: func(*Request) { close(hiDone) }}
 		if s.SubmitHighBatch([]*Request{req}) != 1 {
 			t.Fatalf("round %d: not accepted", i)
 		}
-		select {
-		case r := <-hiDone:
-			lat := time.Duration(r.SchedulingLatency())
-			// Every round must preempt promptly; a regression that loses
-			// interrupts after the first switch shows up as ~spin duration.
-			if lat > 50*time.Millisecond {
-				w := s.Workers()[0]
-				t.Fatalf("round %d: latency %v; passive=%d suppressed=%d/%d uif=%v pending=%v",
-					i, lat,
-					w.Core().Context(0).TCB().PassiveSwitches(),
-					w.Core().Context(0).TCB().SuppressedPolls(),
-					w.Core().Context(1).TCB().SuppressedPolls(),
-					w.Core().Receiver().UIF(),
-					w.Core().Receiver().UPID().Pending())
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("stuck")
+		waitChan(t, hiDone, "high-priority request stuck behind the low one")
+		if !duringLow || ranOn != 1 {
+			w := s.Workers()[0]
+			t.Fatalf("round %d: ran on context %d, low in flight = %v; want the preemptive context while the low request runs (passive=%d uif=%v pending=%v)",
+				i, ranOn, duringLow,
+				w.Core().Context(0).TCB().PassiveSwitches(),
+				w.Core().Receiver().UIF(),
+				w.Core().Receiver().UPID().Pending())
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	<-loDone
+	waitChan(t, loDone, "low request never finished")
+	if s.Workers()[0].Core().Context(0).TCB().PassiveSwitches() == 0 {
+		t.Fatal("low request was never preempted")
+	}
 }

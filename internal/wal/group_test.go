@@ -166,60 +166,38 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	}
 }
 
-// TestMaxBatchBytesCutsDelayShort verifies the byte bound: a leader configured
-// with a long gathering delay is released as soon as a joiner pushes the batch
-// past MaxBatchBytes.
-func TestMaxBatchBytesCutsDelayShort(t *testing.T) {
+// TestOpenBatchLen: the open batch counts its leader and every follower
+// staged behind it, and closes when the leader writes it.
+func TestOpenBatchLen(t *testing.T) {
 	var sink bytes.Buffer
 	m := NewManager(&sink, false)
-	m.SetBatchLimits(1, 30*time.Second) // any joiner overflows the batch
-
+	if n := m.OpenBatchLen(); n != 0 {
+		t.Fatalf("fresh manager: OpenBatchLen = %d", n)
+	}
 	b1, b2 := stageBuf(1), stageBuf(2)
 	if !mustStage(t, m, 1, 1, b1) {
 		t.Fatal("expected leader")
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.LeaderFinish(b1)
-		done <- err
-	}()
-	// The joiner signals the batch full; the leader must finish long before
-	// its 30s delay.
+	if n := m.OpenBatchLen(); n != 1 {
+		t.Fatalf("after the leader: OpenBatchLen = %d", n)
+	}
 	if mustStage(t, m, 2, 2, b2) {
 		t.Fatal("joiner must not be leader")
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("leader did not finish after byte-bound overflow")
+	if n := m.OpenBatchLen(); n != 2 {
+		t.Fatalf("after a follower: OpenBatchLen = %d", n)
+	}
+	if _, err := m.LeaderFinish(b1); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := m.FollowerWait(b2); err != nil {
 		t.Fatal(err)
 	}
+	if n := m.OpenBatchLen(); n != 0 {
+		t.Fatalf("after the write: OpenBatchLen = %d", n)
+	}
 	if m.Commits() != 2 || m.Batches() != 1 {
 		t.Fatalf("commits=%d batches=%d", m.Commits(), m.Batches())
-	}
-}
-
-// TestMaxBatchDelayLoneLeader verifies a lone committer with a delay bound
-// still commits after the gathering window expires.
-func TestMaxBatchDelayLoneLeader(t *testing.T) {
-	var sink bytes.Buffer
-	m := NewManager(&sink, false)
-	m.SetBatchLimits(0, time.Millisecond)
-	b := stageBuf(7)
-	start := time.Now()
-	if _, err := m.Commit(1, 1, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("lone leader took %v", d)
-	}
-	if m.Commits() != 1 {
-		t.Fatalf("commits = %d", m.Commits())
 	}
 }
 

@@ -15,10 +15,9 @@
 // the first committer into an empty batch is elected leader, and once the
 // previous batch's I/O completes the leader closes its batch and writes every
 // staged frame with a single Write+Flush+Sync, assigns LSNs, and wakes the
-// followers. Batching therefore arises naturally from I/O overlap — while one
-// leader syncs, the next batch accumulates — and is bounded by MaxBatchDelay
-// (extra latency a leader may spend gathering joiners) and MaxBatchBytes
-// (batch size at which the leader stops waiting).
+// followers. Batching therefore arises from I/O overlap alone — while one
+// leader syncs, the next batch accumulates; a leader never waits to gather
+// joiners.
 //
 // Latch discipline (paper §4.4): the staging latch is held for an append and
 // the write latch only by a leader across its batch I/O; the engine runs both
@@ -37,7 +36,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // RecordType tags a redo record.
@@ -186,12 +184,7 @@ func (b *Buffer) Reset() {
 // accumulated between two leader writes. Batches are pooled on the Manager so
 // the steady-state commit path allocates nothing.
 type batch struct {
-	reqs  []*Buffer
-	bytes int
-	// full is signalled (non-blocking) by the joiner that pushes the batch
-	// past MaxBatchBytes, cutting the leader's delay wait short.
-	full  chan struct{}
-	timer *time.Timer
+	reqs []*Buffer
 }
 
 // Manager is the central committed-transaction log, a leader/follower group
@@ -230,10 +223,6 @@ type Manager struct {
 	// Replay. The engine surfaces the latched error as a typed abort and the
 	// DB degrades to read-only.
 	failed atomic.Pointer[failure]
-
-	// Batching bounds; see SetBatchLimits.
-	maxBatchBytes int
-	maxBatchDelay time.Duration
 
 	pool sync.Pool // *batch
 }
@@ -285,18 +274,19 @@ func (m *Manager) Err() error {
 func NewManager(sink io.Writer, syncEach bool) *Manager {
 	m := &Manager{w: bufio.NewWriterSize(sink, 1<<20), sink: sink, syncEach: syncEach}
 	m.marker, _ = sink.(BatchBoundaryMarker)
-	m.pool.New = func() any { return &batch{full: make(chan struct{}, 1)} }
+	m.pool.New = func() any { return new(batch) }
 	return m
 }
 
-// SetBatchLimits bounds the group-commit batching. maxBytes stops a leader's
-// delay wait once the open batch reaches that many framed bytes (0: no byte
-// bound); delay is the maximum extra time a leader spends gathering joiners
-// before writing (0: write as soon as the previous batch's I/O completes —
-// batching then comes only from natural I/O overlap). Call before first use.
-func (m *Manager) SetBatchLimits(maxBytes int, delay time.Duration) {
-	m.maxBatchBytes = maxBytes
-	m.maxBatchDelay = delay
+// OpenBatchLen returns how many buffers the open batch holds (0 when no
+// batch is open): its leader plus the followers staged behind it so far.
+func (m *Manager) OpenBatchLen() int {
+	m.stageMu.Lock()
+	defer m.stageMu.Unlock()
+	if m.open == nil {
+		return 0
+	}
+	return len(m.open.reqs)
 }
 
 // Stage frames the buffer's records as one committed transaction and enrolls
@@ -343,31 +333,22 @@ func (m *Manager) stageFrame(magic uint32, txnID, cts uint64, b *Buffer, counted
 		bt = m.pool.Get().(*batch)
 		m.open = bt
 		bt.reqs = append(bt.reqs, b)
-		bt.bytes = frameHdrLen + len(b.buf)
 		m.stageMu.Unlock()
 		return true, nil
 	}
 	bt.reqs = append(bt.reqs, b)
-	bt.bytes += frameHdrLen + len(b.buf)
-	over := m.maxBatchBytes > 0 && bt.bytes >= m.maxBatchBytes
 	m.stageMu.Unlock()
-	if over {
-		select {
-		case bt.full <- struct{}{}:
-		default:
-		}
-	}
 	return false, nil
 }
 
-// LeaderFinish completes a leader's group commit: after an optional
-// MaxBatchDelay gathering window it acquires the write latch, closes the
-// batch, writes every staged frame, flushes and syncs once (when configured),
-// assigns end-of-frame LSNs, and wakes the followers. The caller's own LSN
-// and write error are returned; each follower receives its own through
-// FollowerWait. The engine runs LeaderFinish inside a non-preemptible region:
-// ioMu is a database latch, and a leader preempted while holding it could
-// deadlock a same-core high-priority committer that becomes the next leader.
+// LeaderFinish completes a leader's group commit: it acquires the write
+// latch, closes the batch, writes every staged frame, flushes and syncs once
+// (when configured), assigns end-of-frame LSNs, and wakes the followers. The
+// caller's own LSN and write error are returned; each follower receives its
+// own through FollowerWait. The engine runs LeaderFinish inside a
+// non-preemptible region: ioMu is a database latch, and a leader preempted
+// while holding it could deadlock a same-core high-priority committer that
+// becomes the next leader.
 func (m *Manager) LeaderFinish(b *Buffer) (uint64, error) {
 	m.stageMu.Lock()
 	bt := m.open
@@ -376,21 +357,6 @@ func (m *Manager) LeaderFinish(b *Buffer) (uint64, error) {
 		panic("wal: LeaderFinish by a non-leader")
 	}
 	m.stageMu.Unlock()
-
-	if d := m.maxBatchDelay; d > 0 {
-		if bt.timer == nil {
-			bt.timer = time.NewTimer(d)
-		} else {
-			bt.timer.Reset(d)
-		}
-		select {
-		case <-bt.timer.C:
-		case <-bt.full:
-			if !bt.timer.Stop() {
-				<-bt.timer.C
-			}
-		}
-	}
 
 	m.ioMu.Lock()
 	// Close the batch: joiners from here on open the next one. Closing under
@@ -451,11 +417,6 @@ func (m *Manager) LeaderFinish(b *Buffer) (uint64, error) {
 	}
 	lsn, cerr := b.lsn, b.cerr
 	bt.reqs = bt.reqs[:0]
-	bt.bytes = 0
-	select { // drop a stale full signal before recycling
-	case <-bt.full:
-	default:
-	}
 	m.pool.Put(bt)
 	return lsn, cerr
 }

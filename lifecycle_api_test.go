@@ -162,6 +162,20 @@ func TestPastDeadlineRejectedAtAdmission(t *testing.T) {
 	}
 }
 
+// TestAdmissionShedIsAlsoDeadlineExceeded: the admission shed of a lost
+// deadline names both why (the deadline) and how (rejected up front), so the
+// wire answers it with the deadline status.
+func TestAdmissionShedIsAlsoDeadlineExceeded(t *testing.T) {
+	db := openTest(t, Config{Workers: 1})
+	err := db.ExecOpts(TxnOptions{Deadline: time.Now().Add(-time.Second)}, func(tx *Txn) error { return nil })
+	if !IsDeadlineExceeded(err) || !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("ExecOpts past its deadline = %v, want ErrDeadlineExceeded and ErrQueueFull", err)
+	}
+	if st := db.Stats(); st.AbortsDeadline != 0 || st.AbortsQueueFull != 1 {
+		t.Fatalf("AbortsDeadline = %d, AbortsQueueFull = %d; the shed counts once, as queue-full", st.AbortsDeadline, st.AbortsQueueFull)
+	}
+}
+
 // TestExecRetryDoesNotRetryNonRetryable: transaction-body errors and
 // cancellations pass straight through.
 func TestExecRetryDoesNotRetryNonRetryable(t *testing.T) {

@@ -149,9 +149,6 @@ type Config struct {
 	// transaction's lifetime spent on high-priority work (default 100,
 	// i.e. effectively unbounded; see paper §5).
 	StarvationThreshold float64
-	// MaxRetries bounds automatic conflict retries in Exec/Submit/Run
-	// (default 100).
-	MaxRetries int
 	// LogSink receives the redo log (nil: in-memory only). Ignored when the
 	// database is opened on a directory — the segmented WAL is the sink then.
 	LogSink io.Writer
@@ -171,23 +168,9 @@ type Config struct {
 	// SyncEachCommit makes every commit wait for its group-commit batch to
 	// be flushed (and synced, when the sink supports it) before returning.
 	SyncEachCommit bool
-	// MaxBatchBytes caps how many framed bytes a group-commit leader
-	// gathers into one batch (0: unbounded).
-	MaxBatchBytes int
-	// MaxBatchDelay bounds the extra latency a group-commit leader spends
-	// gathering followers before writing its batch (0: write as soon as the
-	// previous batch's I/O completes).
-	MaxBatchDelay time.Duration
 	// VacuumInterval, when non-zero, enables background incremental
 	// garbage collection of record version chains at that period.
 	VacuumInterval time.Duration
-	// AdmissionRate, when > 0, caps the admitted request rate
-	// (requests/second, token bucket of AdmissionBurst tokens).
-	AdmissionRate float64
-	// AdmissionBurst is the token-bucket burst for AdmissionRate (default 1).
-	AdmissionBurst int
-	// MaxInFlight, when > 0, caps admitted-but-unfinished requests.
-	MaxInFlight int
 	// MetricsAddr, when non-empty, starts an HTTP listener (e.g.
 	// "127.0.0.1:9090") serving /metrics (Prometheus text exposition),
 	// /metrics.json (the DB.Metrics snapshot), and /trace (Chrome trace-event
@@ -226,28 +209,21 @@ type Config struct {
 	// without entering a scheduler core; commits invalidate their written
 	// keys at the publication point. See internal/hotcache.
 	CacheBytes int64
-	// CacheTTL, when > 0, additionally expires hot-key cache entries this
-	// long after they were filled.
-	CacheTTL time.Duration
-	// HiConnLimit / LoConnLimit cap concurrently open server connections per
-	// priority class (0 = unlimited). A connection over its class limit is
-	// sent a typed queue-full frame and closed at classification time.
-	HiConnLimit, LoConnLimit int
-	// HiInFlightLimit / LoInFlightLimit cap in-flight server requests per
-	// priority class (0 = unlimited). Requests over the limit are shed at
-	// the edge with a typed queue-full frame — before consuming an engine
-	// admission slot — so a low-priority flood cannot queue in front of
-	// high-priority work.
-	HiInFlightLimit, LoInFlightLimit int
 }
 
 // ErrClosed reports use of a closed DB.
 var ErrClosed = errors.New("preemptdb: database closed")
 
 // ErrQueueFull reports that a request was rejected up front: every
-// scheduling queue was full, or admission control shed it (rate, in-flight
-// cap, or a deadline that cannot be met given the observed queue delay).
+// scheduling queue was full, or its deadline cannot be met given the observed
+// queue delay (that shed also satisfies IsDeadlineExceeded).
 var ErrQueueFull = errors.New("preemptdb: all scheduling queues full")
+
+// errDeadlineShed is what submission returns for a request shed at admission
+// because the observed queue delay already exceeds its deadline. It is
+// rejected up front like a full queue, and for the deadline's sake, so it
+// wraps both.
+var errDeadlineShed = fmt.Errorf("preemptdb: queue delay exceeds the deadline: %w: %w", ErrDeadlineExceeded, ErrQueueFull)
 
 // ErrConflict marks a transaction that failed with a concurrency conflict
 // after exhausting its automatic retry budget. The underlying engine error
@@ -271,8 +247,8 @@ var ErrDeadlineExceeded = pcontext.ErrDeadlineExceeded
 var ErrWALFailed = wal.ErrWALFailed
 
 // IsConflict reports whether err was a concurrency conflict (these are
-// retried automatically up to MaxRetries; seeing one from Exec means the
-// budget was exhausted).
+// retried automatically up to maxRetries times; seeing one from Exec means
+// the budget was exhausted).
 func IsConflict(err error) bool {
 	return engine.IsConflict(err) || errors.Is(err, ErrConflict)
 }
@@ -336,10 +312,10 @@ type DB struct {
 	// msrv/mln are the optional MetricsAddr HTTP export listener.
 	msrv *http.Server
 	mln  net.Listener
-	// frontReg collects the network front-end's counters (connections shed by
-	// edge admission, open-connection gauge). It merges into DB.Metrics and
-	// DB.Stats alongside the per-shard registries; the server package bumps it
-	// via FrontendRegistry.
+	// frontReg collects the network front-end's counters (the
+	// open-connection gauge). It merges into DB.Metrics and DB.Stats alongside
+	// the per-shard registries; the server package bumps it via
+	// FrontendRegistry.
 	frontReg *metrics.Registry
 	// traceIDs issues database-wide transaction trace ids: shared by submit
 	// (which stamps every request up front) and every shard's scheduler (which
@@ -413,9 +389,6 @@ func applyDefaults(cfg *Config) {
 	if cfg.LoQueueSize == 0 {
 		cfg.LoQueueSize = 64
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 100
-	}
 }
 
 // newShard builds one shard's engine (no scheduler yet — recovery runs
@@ -442,7 +415,6 @@ func newShard(cfg Config, si int, dlog *store.Log) *shard {
 	if cfg.CacheBytes > 0 {
 		cache = hotcache.New(hotcache.Config{
 			MaxBytes: cfg.CacheBytes / int64(cfg.Shards),
-			TTL:      cfg.CacheTTL,
 			Metrics:  reg,
 		})
 	}
@@ -450,8 +422,6 @@ func newShard(cfg Config, si int, dlog *store.Log) *shard {
 		Isolation:      cfg.Isolation.toMVCC(),
 		LogSink:        sink,
 		SyncEachCommit: cfg.SyncEachCommit,
-		MaxBatchBytes:  cfg.MaxBatchBytes,
-		MaxBatchDelay:  cfg.MaxBatchDelay,
 		VacuumInterval: cfg.VacuumInterval,
 		Metrics:        reg,
 		Cache:          cache,
@@ -495,10 +465,11 @@ func assembleDB(cfg Config, shs []*shard) (*DB, error) {
 	for _, sh := range shs {
 		sh.startShard(cfg, traceIDs)
 	}
-	// The admission controller is always present: with the rate and
-	// in-flight knobs at zero it admits everything, but it still tracks the
-	// queue-delay estimate that lets AdmitDeadline shed doomed requests.
-	adm := admission.New(cfg.AdmissionRate, cfg.AdmissionBurst, cfg.MaxInFlight)
+	// The admission controller has no rate or in-flight cap: the bounded
+	// per-worker queues are the overload control. It tracks the queue-delay
+	// estimate that lets AdmitDeadline shed requests whose deadline is
+	// already lost.
+	adm := admission.New(0, 0, 0)
 	db := &DB{cfg: cfg, shards: shs, adm: adm, gidBase: rand.Uint64() &^ dtx.GIDBit,
 		frontReg: metrics.NewRegistry(), traceIDs: traceIDs}
 	db.startFlightRecorder()
@@ -581,9 +552,19 @@ func (db *DB) Run(fn func(tx *Txn) error) error {
 	return db.runOn(ctx, fn)
 }
 
+// maxRetries bounds automatic conflict retries in Run/Exec/Submit.
+const maxRetries = 100
+
 func (db *DB) runOn(ctx *pcontext.Context, fn func(tx *Txn) error) error {
 	var err error
-	for attempt := 0; attempt < db.cfg.MaxRetries; attempt++ {
+	var bo backoff
+	for attempt := 0; attempt < maxRetries; attempt++ {
+		// A retry follows a conflict. A detached caller (Run) backs off so
+		// the holder it ran into gets to commit; a worker context retries at
+		// once, because sleeping there would hold the core.
+		if attempt > 0 && ctx.Core() == nil {
+			bo.wait()
+		}
 		// Canceled or past deadline: further retries cannot succeed — every
 		// new attempt would unwind at its first poll anyway.
 		if lcErr := ctx.Err(); lcErr != nil {
@@ -617,8 +598,8 @@ type TxnOptions struct {
 	// Deadline is an absolute wall-clock instant after which the result is
 	// worthless (zero = none). An expired request is shed at admission or
 	// dispatch, and canceled mid-flight at the first poll past the deadline;
-	// either way the submitter sees ErrDeadlineExceeded (shed at admission
-	// reports ErrQueueFull from Submit itself).
+	// either way the submitter sees ErrDeadlineExceeded (a shed at admission
+	// returns it from Submit itself, wrapped together with ErrQueueFull).
 	Deadline time.Time
 	// Timeout is a relative deadline measured from submission (0 = none).
 	// When both are set the earlier instant wins.
@@ -725,7 +706,7 @@ func (db *DB) submit(p Priority, deadline int64, route []byte, traceID uint64, f
 	sh := db.routeShard(route)
 	if !db.adm.AdmitDeadline(deadline) {
 		sh.aborts.Inc(metrics.AbortQueueFull)
-		return nil, ErrQueueFull
+		return nil, errDeadlineShed
 	}
 	if traceID == 0 {
 		traceID = db.traceIDs.Add(1)
@@ -821,26 +802,34 @@ func (db *DB) ExecDeadline(p Priority, deadline time.Time, fn func(tx *Txn) erro
 // jitter, capped at ~1ms) before retrying on the submitting goroutine. All
 // other outcomes — including deadline and cancellation — return immediately.
 func (db *DB) ExecRetry(p Priority, fn func(tx *Txn) error) error {
-	const (
-		maxAttempts = 16
-		baseBackoff = 20 * time.Microsecond
-		maxBackoff  = time.Millisecond
-	)
-	backoff := baseBackoff
+	const maxAttempts = 16
+	var bo backoff
 	var err error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		err = db.Exec(p, fn)
 		if err == nil || !(IsConflict(err) || errors.Is(err, ErrQueueFull)) {
 			return err
 		}
-		// Full jitter: sleep a uniform fraction of the current backoff so
-		// retrying submitters decorrelate instead of colliding again.
-		time.Sleep(time.Duration(rand.Int64N(int64(backoff)) + 1))
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		bo.wait()
 	}
 	return err
+}
+
+// backoff is the full-jitter exponential back-off of both retry loops
+// (ExecRetry and Run's conflict retries). The zero value starts at 20µs.
+type backoff time.Duration
+
+// wait sleeps a uniform fraction of the current step, so retrying callers
+// decorrelate instead of colliding again, then doubles the step up to 1ms.
+func (b *backoff) wait() {
+	const base, max = backoff(20 * time.Microsecond), backoff(time.Millisecond)
+	if *b < base {
+		*b = base
+	}
+	time.Sleep(time.Duration(rand.Int64N(int64(*b)) + 1))
+	if *b *= 2; *b > max {
+		*b = max
+	}
 }
 
 // Timing reports a transaction's worker-stamped latencies: Scheduling is
@@ -1020,11 +1009,9 @@ type Stats struct {
 	CacheHits          uint64
 	CacheMisses        uint64
 	CacheInvalidations uint64
-	// ConnsShed counts connections and requests shed by the network
-	// front-end's per-priority edge admission; ConnsOpen is the current
-	// open-connection gauge. Both are facade-global (the front-end sits in
-	// front of shard routing) and appear only in the DB-level aggregate.
-	ConnsShed uint64
+	// ConnsOpen is the network front-end's open-connection gauge. It is
+	// facade-global (the front-end sits in front of shard routing) and
+	// appears only in the DB-level aggregate.
 	ConnsOpen int64
 }
 
@@ -1088,7 +1075,6 @@ func (st *Stats) add(o Stats) {
 	st.CacheHits += o.CacheHits
 	st.CacheMisses += o.CacheMisses
 	st.CacheInvalidations += o.CacheInvalidations
-	st.ConnsShed += o.ConnsShed
 	st.ConnsOpen += o.ConnsOpen
 }
 
@@ -1113,27 +1099,18 @@ func (db *DB) Stats() Stats {
 		agg.add(sh.stats())
 	}
 	agg.DeadlineRejected = db.adm.DeadlineRejected()
-	agg.ConnsShed = db.frontReg.ConnsShed()
 	agg.ConnsOpen = db.frontReg.ConnsOpen()
 	return agg
 }
 
-// Config returns the configuration the database was opened with (defaults
-// applied). The network server reads its front-end knobs — the per-priority
-// connection and in-flight limits — from here.
+// Config returns the configuration the database was opened with, defaults
+// applied.
 func (db *DB) Config() Config { return db.cfg }
 
 // FrontendRegistry returns the registry the network front-end records its
-// edge counters into (connections shed, open-connection gauge). It merges
-// into Metrics and Stats alongside the per-shard registries.
+// open-connection gauge into. It merges into Metrics and Stats alongside the
+// per-shard registries.
 func (db *DB) FrontendRegistry() *metrics.Registry { return db.frontReg }
-
-// QueueDelayEstimate returns the admission controller's EWMA of observed
-// scheduling queue delay. The network front-end folds its edge shedding into
-// the same admission stats the engine uses for deadline-based shedding.
-func (db *DB) QueueDelayEstimate() time.Duration {
-	return time.Duration(db.adm.QueueDelayEstimate())
-}
 
 // CachedGet serves a point read straight from the hot-key cache, bypassing
 // transaction begin, shard scheduling, and the MVCC read path entirely. It

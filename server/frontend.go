@@ -9,35 +9,26 @@ import (
 // The connection path. Every accepted connection gets one goroutine that does
 // everything between the socket and the commit: it blocks in Read (the Go
 // runtime parks it on its network poller, which is epoll/kqueue underneath), parses
-// complete frames in place out of its own buffer, classifies the connection
-// from its first frame, applies the per-class edge admission, executes each
-// frame of the read in order, and flushes the responses once per read.
+// complete frames in place out of its own buffer, executes each frame of the
+// read in order, and flushes the responses once per read.
 // Nothing is handed to another goroutine, so there is no queue, lock or
 // ordering protocol between reading a request and writing its response, and
 // what a connection can hold in memory is bounded by one read's worth of
 // frames; the kernel's socket buffers are the back-pressure on a client that
-// pipelines faster than the server executes.
+// pipelines faster than the server executes. Overload is the scheduler's to
+// refuse: a request that finds its queues full gets a typed queue-full frame.
 
-const (
-	classNone int32 = -1 // connection not yet classified
-	classLo   int32 = 0
-	classHi   int32 = 1
+// connBuf is the size of a connection's read buffer (it grows past this only
+// to hold one larger frame, and shrinks back afterwards) and the
+// response-buffer fill at which responses go out before the read's last frame
+// is answered.
+const connBuf = 64 << 10
 
-	// connBuf is the size of a connection's read buffer (it grows past this
-	// only to hold one larger frame, and shrinks back afterwards) and the
-	// response-buffer fill at which responses go out before the read's last
-	// frame is answered.
-	connBuf = 64 << 10
-)
-
-// conn is one client connection. Only its own goroutine touches the fields
-// below nc.
+// conn is one client connection. Only its own goroutine touches wbuf.
 type conn struct {
-	s  *Server
-	nc net.Conn
-
-	class int32  // classNone until the first frame arrives
-	wbuf  []byte // framed responses not yet written
+	s    *Server
+	nc   net.Conn
+	wbuf []byte // framed responses not yet written
 }
 
 // serve is the connection's goroutine.
@@ -89,9 +80,6 @@ func (c *conn) serve() {
 func (c *conn) close() {
 	s := c.s
 	c.nc.Close()
-	if c.class != classNone {
-		s.conns[c.class].Add(-1)
-	}
 	s.reg.AddConnsOpen(-1)
 	s.mu.Lock()
 	delete(s.open, c)
@@ -121,30 +109,15 @@ func parseFrames(dst [][]byte, data []byte) (frames [][]byte, consumed int, err 
 	}
 }
 
-// serveFrames answers one read's worth of complete frames, in order:
-// classify the connection on its first frame (shedding an over-limit class
-// with a typed frame), then execute each frame and append its response,
-// writing once at the end — a client that pipelines K requests gets its K
-// responses in one write. The frames alias the read buffer, which is not
-// written again until serveFrames returns. It reports false when the
-// connection must close.
+// serveFrames answers one read's worth of complete frames, in order: execute
+// each frame and append its response, writing once at the end — a client that
+// pipelines K requests gets its K responses in one write. The frames alias the
+// read buffer, which is not written again until serveFrames returns. It
+// reports false when the connection must close.
 func (c *conn) serveFrames(frames [][]byte) bool {
 	s := c.s
-	if c.class == classNone {
-		class := classifyFrame(frames[0])
-		if !s.admitConn(class) {
-			s.reg.IncConnsShed()
-			c.wbuf = appendFrame(c.wbuf, func(b []byte) []byte {
-				return encodeResults(b, statusQueueFull,
-					"server: connection limit reached for priority class", nil)
-			})
-			c.flush()
-			return false
-		}
-		c.class = class
-	}
 	for _, frame := range frames {
-		c.wbuf = appendFrame(c.wbuf, func(b []byte) []byte { return s.respond(b, c.class, frame) })
+		c.wbuf = appendFrame(c.wbuf, func(b []byte) []byte { return s.respond(b, frame) })
 		// A peer that does not read its responses must not make them pile up
 		// here: past connBuf they go to the socket, where WriteTimeout bounds
 		// how long a full send buffer can hold this goroutine.
@@ -182,84 +155,14 @@ func (c *conn) flush() error {
 	return err
 }
 
-// classifyFrame derives the connection's priority class from its first
-// frame. Only a well-formed transaction frame can claim the high class: a
-// malformed or non-transactional first frame classifies Low, so garbage
-// cannot bypass admission into the protected class.
-func classifyFrame(frame []byte) int32 {
-	r := &reader{frame}
-	kind, err := r.u8()
-	if err != nil {
-		return classLo
-	}
-	switch kind {
-	case reqTxn:
-	case reqTxnDeadline:
-		if _, err := r.uvarint(); err != nil {
-			return classLo
-		}
-	default:
-		return classLo
-	}
-	prio, err := r.u8()
-	if err != nil || prio == 0 {
-		return classLo
-	}
-	return classHi
-}
-
-func (s *Server) admitConn(class int32) bool {
-	limit := s.connLimit[class]
-	n := s.conns[class].Add(1)
-	if limit > 0 && n > limit {
-		s.conns[class].Add(-1)
-		return false
-	}
-	return true
-}
-
-func (s *Server) admitRequest(class int32) bool {
-	limit := s.inflightLimit[class]
-	n := s.inflight[class].Add(1)
-	if limit > 0 && n > limit {
-		s.inflight[class].Add(-1)
-		return false
-	}
-	return true
-}
-
-func (s *Server) releaseRequest(class int32) { s.inflight[class].Add(-1) }
-
-// respond executes one frame of a connection of the given class and appends
-// the response payload to b. A single-Get script whose key sits in the
-// hot-key cache is answered from it, without a transaction. Otherwise edge
-// admission applies first: transaction frames count against the class's
-// in-flight limit and are shed with a typed statusQueueFull frame when over
-// it; a deadline-carrying transaction whose timeout is already below the
-// admission controller's EWMA queue-delay estimate is shed with
-// statusDeadline, before it can consume decode or scheduler work. The
-// connection always survives request-level shedding, and a malformed payload
-// inside a well-delimited frame (frame boundaries are still in sync) gets a
-// typed error frame.
-func (s *Server) respond(b []byte, class int32, frame []byte) []byte {
-	if len(frame) > 0 && (frame[0] == reqTxn || frame[0] == reqTxnDeadline) {
-		if resp, ok := s.cachedGet(b, frame); ok {
-			return resp
-		}
-		if !s.admitRequest(class) {
-			s.reg.IncConnsShed()
-			return encodeResults(b, statusQueueFull,
-				"server: in-flight limit reached for priority class", nil)
-		}
-		defer s.releaseRequest(class)
-		if frame[0] == reqTxnDeadline {
-			if micros, n := binary.Uvarint(frame[1:]); n > 0 && micros > 0 {
-				if est := s.db.QueueDelayEstimate(); est > time.Duration(micros)*time.Microsecond {
-					return encodeResults(b, statusDeadline,
-						"server: queue delay estimate exceeds request deadline", nil)
-				}
-			}
-		}
+// respond executes one frame and appends the response payload to b. A
+// single-Get script whose key sits in the hot-key cache is answered from it,
+// without a transaction. A malformed payload inside a well-delimited frame
+// (frame boundaries are still in sync) gets a typed error frame, and the
+// connection survives.
+func (s *Server) respond(b, frame []byte) []byte {
+	if resp, ok := s.cachedGet(b, frame); ok {
+		return resp
 	}
 	resp, err := s.dispatch(b, frame)
 	if err != nil {
@@ -278,7 +181,7 @@ func (s *Server) cachedGet(b, frame []byte) ([]byte, bool) {
 	if len(frame) < 2 || frame[0] != reqTxn {
 		return nil, false
 	}
-	r := &reader{frame[2:]} // skip kind + priority: class is already fixed
+	r := &reader{frame[2:]} // skip kind + priority
 	nops, err := r.uvarint()
 	if err != nil || nops != 1 {
 		return nil, false

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,117 +44,172 @@ func startEdgeServer(t *testing.T, cfg preemptdb.Config, configure func(*Server)
 
 func txnFrame(prio uint8, ops []ScriptOp) []byte { return encodeScript(nil, prio, ops) }
 
-// TestInFlightShedTypedFrameConnSurvives: a request over the per-class
-// in-flight limit gets a typed statusQueueFull frame and the connection
-// keeps working — request-level shedding never kills the connection.
-func TestInFlightShedTypedFrameConnSurvives(t *testing.T) {
-	srv, addr := startEdgeServer(t, preemptdb.Config{LoInFlightLimit: 1}, nil)
-	srv.db.CreateTable("kv")
-	conn := mustDialRaw(t, addr)
-
-	// Occupy the single low-class in-flight slot from the outside, so the
-	// wire request below is deterministically over the limit.
-	if !srv.admitRequest(classLo) {
-		t.Fatal("could not occupy the in-flight slot")
-	}
-	frame := txnFrame(0, []ScriptOp{{Op: opInsert, Table: "kv", Key: []byte("a"), Value: []byte("1")}})
-	if status, msg := roundTripRaw(t, conn, frame); status != statusQueueFull {
-		t.Fatalf("over-limit request: status=%d msg=%q, want statusQueueFull", status, msg)
-	} else if msg == "" {
-		t.Fatal("shed response carries no message — shedding must never be silent")
-	}
-	if shed := srv.db.Stats().ConnsShed; shed == 0 {
-		t.Fatal("shed not counted in Stats.ConnsShed")
-	}
-
-	// Release the slot: the same connection must serve the retry.
-	srv.releaseRequest(classLo)
-	if status, msg := roundTripRaw(t, conn, frame); status != statusOK {
-		t.Fatalf("retry after release: status=%d msg=%q", status, msg)
-	}
-	if status, msg := roundTripRaw(t, conn, []byte{reqPing}); status != statusOK || msg != "pong" {
-		t.Fatalf("connection unusable after shed: %d %q", status, msg)
-	}
-}
-
-// TestConnLimitShedsAtClassification: a connection that classifies into a
-// full priority class is refused with a typed frame and closed; connections
-// of the other class are unaffected.
-func TestConnLimitShedsAtClassification(t *testing.T) {
-	srv, addr := startEdgeServer(t, preemptdb.Config{HiConnLimit: 1}, nil)
-	srv.db.CreateTable("kv")
-	put := func(prio uint8, key string) []byte {
-		return txnFrame(prio, []ScriptOp{{Op: opPut, Table: "kv", Key: []byte(key), Value: []byte("v")}})
-	}
-
-	hi1 := mustDialRaw(t, addr)
-	if status, msg := roundTripRaw(t, hi1, put(1, "a")); status != statusOK {
-		t.Fatalf("first hi conn: status=%d msg=%q", status, msg)
-	}
-
-	hi2 := mustDialRaw(t, addr)
-	hi2.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeFrame(hi2, put(1, "b")); err != nil {
+// TestFloodShedsLowAtTheQueuesAndAnswersEveryFrame: overload has one control,
+// the bounded per-worker queues. One worker with a one-slot low queue is
+// flooded by several connections pipelining full-table scans at Low while one
+// connection sends Puts at High, one at a time. The flood runs until the
+// scheduler has refused at least one request. Every frame then has exactly one
+// reply, a Low reply is either OK or the typed queue-full status, and no High
+// request is refused.
+func TestFloodShedsLowAtTheQueuesAndAnswersEveryFrame(t *testing.T) {
+	const (
+		rows     = 2000
+		lowConns = 4
+		depth    = 8 // scans per pipelined batch
+		minPuts  = 10
+	)
+	srv, addr := startEdgeServer(t, preemptdb.Config{Workers: 1, LoQueueSize: 1, Policy: preemptdb.PolicyPreempt}, nil)
+	db := srv.db
+	db.CreateTable("kv")
+	if err := db.Run(func(tx *preemptdb.Txn) error {
+		for i := 0; i < rows; i++ {
+			if err := tx.Insert("kv", []byte(fmt.Sprintf("k%05d", i)), make([]byte, 32)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(hi2)
-	if err != nil {
-		t.Fatalf("over-limit conn got no typed frame before close: %v", err)
+	shed := func() bool { return db.Stats().AbortsQueueFull > 0 }
+
+	// exchange writes frames in one write (beside the reads) and reads one
+	// reply per frame; a missing reply shows as the watchdog deadline.
+	exchange := func(conn net.Conn, frames [][]byte) ([]uint8, error) {
+		conn.SetDeadline(time.Now().Add(60 * time.Second)) // hang watchdog
+		var batch bytes.Buffer
+		for _, f := range frames {
+			writeFrame(&batch, f)
+		}
+		werr := make(chan error, 1)
+		go func() { _, err := conn.Write(batch.Bytes()); werr <- err }()
+		statuses := make([]uint8, len(frames))
+		for i := range frames {
+			raw, err := readFrame(conn)
+			if err != nil {
+				return nil, fmt.Errorf("reply %d of %d: %w", i, len(frames), err)
+			}
+			if statuses[i], _, _, err = decodeResults(raw); err != nil {
+				return nil, fmt.Errorf("reply %d of %d: %w", i, len(frames), err)
+			}
+		}
+		return statuses, <-werr
 	}
-	status, msg, _, err := decodeResults(resp)
-	if err != nil || status != statusQueueFull || msg == "" {
-		t.Fatalf("over-limit conn: status=%d msg=%q err=%v, want typed statusQueueFull", status, msg, err)
-	}
-	// The shed connection is then closed by the server.
-	if _, err := readFrame(hi2); err == nil {
-		t.Fatal("over-hi-conn-limit connection was not closed")
+	// noExtraReply checks that a ping's reply is the next frame on conn.
+	noExtraReply := func(conn net.Conn) error {
+		st, err := exchange(conn, [][]byte{{reqPing}})
+		if err == nil && st[0] != statusOK {
+			err = fmt.Errorf("reply after the flood has status %d, want the ping's", st[0])
+		}
+		return err
 	}
 
-	// The low class is not limited: a new low connection works.
-	lo := mustDialRaw(t, addr)
-	if status, msg := roundTripRaw(t, lo, put(0, "c")); status != statusOK {
-		t.Fatalf("lo conn after hi shed: status=%d msg=%q", status, msg)
+	scan := txnFrame(0, []ScriptOp{{Op: opScan, Table: "kv"}})
+	scans := make([][]byte, depth)
+	for i := range scans {
+		scans[i] = scan
 	}
-	if shed := srv.db.Stats().ConnsShed; shed == 0 {
-		t.Fatal("conn shed not counted in Stats.ConnsShed")
+	var wg sync.WaitGroup
+	errs := make(chan error, lowConns+1)
+	var lowOK, lowFull atomic.Int64
+	for c := 0; c < lowConns; c++ {
+		conn := mustDialRaw(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !shed() {
+				statuses, err := exchange(conn, scans)
+				if err != nil {
+					errs <- fmt.Errorf("low connection: %w", err)
+					return
+				}
+				for _, st := range statuses {
+					switch st {
+					case statusOK:
+						lowOK.Add(1)
+					case statusQueueFull:
+						lowFull.Add(1)
+					default:
+						errs <- fmt.Errorf("low scan reply status %d, want OK or queue-full", st)
+						return
+					}
+				}
+			}
+			if err := noExtraReply(conn); err != nil {
+				errs <- fmt.Errorf("low connection: %w", err)
+			}
+		}()
 	}
+	hi := mustDialRaw(t, addr)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < minPuts || !shed(); i++ {
+			put := txnFrame(1, []ScriptOp{{Op: opPut, Table: "kv", Key: []byte(fmt.Sprintf("h%06d", i)), Value: []byte("v")}})
+			statuses, err := exchange(hi, [][]byte{put})
+			if err != nil {
+				errs <- fmt.Errorf("high connection: %w", err)
+				return
+			}
+			if statuses[0] != statusOK {
+				errs <- fmt.Errorf("high put %d: status %d, want OK", i, statuses[0])
+				return
+			}
+		}
+		if err := noExtraReply(hi); err != nil {
+			errs <- fmt.Errorf("high connection: %w", err)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if lowFull.Load() == 0 {
+		t.Error("no low reply carried the queue-full status, though the scheduler refused a request")
+	}
+	t.Logf("low replies: %d ok, %d queue-full; AbortsQueueFull=%d", lowOK.Load(), lowFull.Load(), db.Stats().AbortsQueueFull)
 }
 
 // TestMalformedFirstFrameCannotClaimHighClass: garbage, truncated, and
-// non-transactional first frames all classify Low — the protected high class
-// cannot be entered without a well-formed high-priority transaction frame.
+// non-transactional first frames reach no scheduler queue, High or Low. Each
+// gets its typed reply (an error frame; pong for ping), no transaction runs
+// or aborts, and the connection survives to run a well-formed High Put.
 func TestMalformedFirstFrameCannotClaimHighClass(t *testing.T) {
-	firstFrames := map[string][]byte{
-		"empty":              {},
-		"unknown kind":       {0xEE, 1},
-		"truncated txn":      {reqTxn},               // no priority byte
-		"truncated deadline": {reqTxnDeadline, 0x80}, // unterminated uvarint
-		"ping":               {reqPing},
+	firstFrames := map[string]struct {
+		payload []byte
+		want    uint8
+	}{
+		"empty":              {[]byte{}, statusError},
+		"unknown kind":       {[]byte{0xEE, 1}, statusError},
+		"truncated txn":      {[]byte{reqTxn}, statusError},               // no priority byte
+		"truncated deadline": {[]byte{reqTxnDeadline, 0x80}, statusError}, // unterminated uvarint
+		"ping":               {[]byte{reqPing}, statusOK},
 	}
 	for name, first := range firstFrames {
 		t.Run(name, func(t *testing.T) {
-			// Low class full, high class open: a frame that bypassed
-			// classification into High would be admitted. It must be shed.
-			srv, addr := startEdgeServer(t, preemptdb.Config{LoConnLimit: 1, HiConnLimit: 8}, nil)
+			srv, addr := startEdgeServer(t, preemptdb.Config{}, nil)
 			srv.db.CreateTable("kv")
-			occupant := mustDialRaw(t, addr)
-			ok := txnFrame(0, []ScriptOp{{Op: opPut, Table: "kv", Key: []byte("k"), Value: []byte("v")}})
-			if status, msg := roundTripRaw(t, occupant, ok); status != statusOK {
-				t.Fatalf("occupant: status=%d msg=%q", status, msg)
-			}
+			before := srv.db.Stats()
 
 			probe := mustDialRaw(t, addr)
-			probe.SetDeadline(time.Now().Add(10 * time.Second))
-			if err := writeFrame(probe, first); err != nil {
-				t.Fatal(err)
+			status, msg := roundTripRaw(t, probe, first.payload)
+			if status != first.want || msg == "" {
+				t.Fatalf("first frame %q: status=%d msg=%q, want typed status %d", name, status, msg, first.want)
 			}
-			resp, err := readFrame(probe)
-			if err != nil {
-				t.Fatalf("no typed frame for shed connection: %v", err)
+			after := srv.db.Stats()
+			if after.Commits != before.Commits || after.Aborts != before.Aborts {
+				t.Fatalf("first frame %q was scheduled: commits %d→%d, aborts %d→%d",
+					name, before.Commits, after.Commits, before.Aborts, after.Aborts)
 			}
-			status, _, _, err := decodeResults(resp)
-			if err != nil || status != statusQueueFull {
-				t.Fatalf("first frame %q classified past the full low class: status=%d err=%v", name, status, err)
+
+			hi := txnFrame(1, []ScriptOp{{Op: opPut, Table: "kv", Key: []byte("k"), Value: []byte("v")}})
+			if status, msg := roundTripRaw(t, probe, hi); status != statusOK {
+				t.Fatalf("High Put after first frame %q: status=%d msg=%q", name, status, msg)
+			}
+			// The counter sees wire transactions, so the check above is not vacuous.
+			if srv.db.Stats().Commits == after.Commits {
+				t.Fatal("High Put over the wire did not count a commit")
 			}
 		})
 	}

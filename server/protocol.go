@@ -64,13 +64,12 @@ const (
 	statusDuplicate
 	statusConflict
 	statusError
-	// statusDeadline: the transaction missed its deadline (shed while
-	// queued or canceled mid-flight).
+	// statusDeadline: the transaction missed its deadline (shed at
+	// admission or while queued, or canceled mid-flight).
 	statusDeadline
 	// statusCanceled: the transaction was canceled server-side.
 	statusCanceled
-	// statusQueueFull: rejected up front — scheduler queues full or
-	// admission control shed the request.
+	// statusQueueFull: rejected up front — scheduler queues full.
 	statusQueueFull
 	// statusReadOnly: the database's write-ahead log latched a permanent
 	// failure and the server only accepts reads until restarted on a

@@ -71,34 +71,42 @@ func roundTripRaw(t *testing.T, conn net.Conn, payload []byte) (uint8, string) {
 // cases on the same connection.
 func TestMalformedPayloadsGetTypedErrorFrame(t *testing.T) {
 	addr, _ := startRawServer(t, nil)
-	conn := mustDialRaw(t, addr)
+	shared := mustDialRaw(t, addr)
 
 	cases := []struct {
 		name    string
 		payload []byte
+		want    uint8
 	}{
-		{"empty payload", nil},
-		{"unknown request kind", []byte{99}},
-		{"txn with no body", []byte{reqTxn}},
-		{"txn priority only", []byte{reqTxn, 1}},
-		{"txn truncated mid-op", append([]byte{reqTxn, 0}, binary.AppendUvarint(nil, 3)...)},
-		{"txn oversized op count", append([]byte{reqTxn, 0}, binary.AppendUvarint(nil, 1<<20)...)},
-		{"create table with no name", []byte{reqCreateTable}},
-		{"create index unsupported", []byte{reqCreateIndex, 1, 2, 3}},
-		{"deadline txn with no timeout", []byte{reqTxnDeadline}},
-		{"deadline txn truncated after timeout", binary.AppendUvarint([]byte{reqTxnDeadline}, 500)},
+		{"empty payload", nil, statusError},
+		{"unknown request kind", []byte{99}, statusError},
+		{"unknown request kind with a body", []byte{0xEE, 1}, statusError},
+		{"txn with no body", []byte{reqTxn}, statusError},
+		{"txn priority only", []byte{reqTxn, 1}, statusError},
+		{"txn truncated mid-op", append([]byte{reqTxn, 0}, binary.AppendUvarint(nil, 3)...), statusError},
+		{"txn oversized op count", append([]byte{reqTxn, 0}, binary.AppendUvarint(nil, 1<<20)...), statusError},
+		{"create table with no name", []byte{reqCreateTable}, statusError},
+		{"create index unsupported", []byte{reqCreateIndex, 1, 2, 3}, statusError},
+		{"deadline txn with no timeout", []byte{reqTxnDeadline}, statusError},
+		{"deadline txn with unterminated timeout", []byte{reqTxnDeadline, 0x80}, statusError},
+		{"deadline txn truncated after timeout", binary.AppendUvarint([]byte{reqTxnDeadline}, 500), statusError},
+		{"ping", []byte{reqPing}, statusOK},
 	}
 	for _, tc := range cases {
-		status, msg := roundTripRaw(t, conn, tc.payload)
-		if status != statusError {
-			t.Errorf("%s: status = %d (%q), want statusError", tc.name, status, msg)
-		}
-		if msg == "" {
-			t.Errorf("%s: error frame carries no message", tc.name)
-		}
-		// The connection must survive the malformed request.
-		if status, msg := roundTripRaw(t, conn, []byte{reqPing}); status != statusOK || msg != "pong" {
-			t.Fatalf("%s: connection unusable after malformed payload: %d %q", tc.name, status, msg)
+		// Each payload goes once mid-connection and once as the first frame
+		// of a fresh connection.
+		for _, conn := range []net.Conn{shared, mustDialRaw(t, addr)} {
+			status, msg := roundTripRaw(t, conn, tc.payload)
+			if status != tc.want {
+				t.Errorf("%s: status = %d (%q), want %d", tc.name, status, msg, tc.want)
+			}
+			if msg == "" {
+				t.Errorf("%s: response carries no message", tc.name)
+			}
+			// The connection must survive the malformed request.
+			if status, msg := roundTripRaw(t, conn, []byte{reqPing}); status != statusOK || msg != "pong" {
+				t.Fatalf("%s: connection unusable after the payload: %d %q", tc.name, status, msg)
+			}
 		}
 	}
 }

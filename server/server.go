@@ -7,7 +7,6 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"preemptdb"
@@ -20,14 +19,7 @@ type Server struct {
 	db  *preemptdb.DB
 	lis net.Listener
 
-	reg *metrics.Registry // the DB's front-end registry (conns shed/open)
-
-	// Edge admission: per-class accounting and limits (index classLo/classHi;
-	// limit 0 = unlimited), shared by every connection.
-	conns         [2]atomic.Int64
-	inflight      [2]atomic.Int64
-	connLimit     [2]int64
-	inflightLimit [2]int64
+	reg *metrics.Registry // the DB's front-end registry (open connections)
 
 	mu     sync.Mutex
 	open   map[*conn]struct{}
@@ -51,16 +43,13 @@ type Server struct {
 // New wraps db in a network server; call Serve with a listener. Adjust
 // IdleTimeout/WriteTimeout before the first connection arrives.
 func New(db *preemptdb.DB) *Server {
-	cfg := db.Config()
 	return &Server{
-		db:            db,
-		reg:           db.FrontendRegistry(),
-		connLimit:     [2]int64{classLo: int64(cfg.LoConnLimit), classHi: int64(cfg.HiConnLimit)},
-		inflightLimit: [2]int64{classLo: int64(cfg.LoInFlightLimit), classHi: int64(cfg.HiInFlightLimit)},
-		open:          make(map[*conn]struct{}),
-		Logf:          log.Printf,
-		IdleTimeout:   2 * time.Minute,
-		WriteTimeout:  30 * time.Second,
+		db:           db,
+		reg:          db.FrontendRegistry(),
+		open:         make(map[*conn]struct{}),
+		Logf:         log.Printf,
+		IdleTimeout:  2 * time.Minute,
+		WriteTimeout: 30 * time.Second,
 	}
 }
 
@@ -86,7 +75,7 @@ func (s *Server) serve(lis net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		c := &conn{s: s, nc: nc, class: classNone}
+		c := &conn{s: s, nc: nc}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -167,9 +156,9 @@ func (s *Server) dispatch(b, frame []byte) ([]byte, error) {
 
 	case reqStats:
 		st := s.db.Stats()
-		msg := fmt.Sprintf("commits=%d aborts=%d interrupts=%d passive=%d active=%d wal-failed=%t cache-hits=%d cache-misses=%d conns-shed=%d",
+		msg := fmt.Sprintf("commits=%d aborts=%d interrupts=%d passive=%d active=%d wal-failed=%t cache-hits=%d cache-misses=%d",
 			st.Commits, st.Aborts, st.InterruptsSent, st.PassiveSwitches, st.ActiveSwitches, st.WALFailed,
-			st.CacheHits, st.CacheMisses, st.ConnsShed)
+			st.CacheHits, st.CacheMisses)
 		return encodeResults(b, statusOK, msg, nil), nil
 
 	case reqTxn:
@@ -345,12 +334,13 @@ var (
 	ErrDuplicate = errors.New("server: duplicate key")
 	ErrConflict  = errors.New("server: transaction conflict")
 	// ErrDeadlineExceeded: the transaction missed its wire-specified
-	// deadline (shed while queued or canceled mid-flight on the server).
+	// deadline (shed at admission or while queued, or canceled mid-flight on
+	// the server).
 	ErrDeadlineExceeded = errors.New("server: transaction deadline exceeded")
 	// ErrCanceled: the transaction was canceled on the server.
 	ErrCanceled = errors.New("server: transaction canceled")
 	// ErrQueueFull: the server rejected the request up front (scheduler
-	// queues full or admission control).
+	// queues full).
 	ErrQueueFull = errors.New("server: request rejected, queues full")
 	// ErrReadOnly: the server's write-ahead log latched a permanent failure;
 	// reads still succeed but every write is refused until the operator
