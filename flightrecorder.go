@@ -45,11 +45,8 @@ type FlightRecord struct {
 	Class        string    `json:"class"`
 	LatencyNanos int64     `json:"latency_nanos"`
 	SLONanos     int64     `json:"slo_nanos"`
-	// BreachesHi/BreachesLo count SLO breaches per class since Open
-	// (including ones the cooldown suppressed).
-	BreachesHi uint64 `json:"breaches_hi"`
-	BreachesLo uint64 `json:"breaches_lo"`
-	// Stats and Metrics are the full counter and latency snapshots at capture.
+	// Stats and Metrics are the full counter and latency snapshots at
+	// capture; Stats carries the per-class SLO breach counts since Open.
 	Stats   Stats                    `json:"stats"`
 	Metrics metrics.RegistrySnapshot `json:"metrics"`
 	// Sched is the live scheduler view: per-core queue depths and
@@ -152,8 +149,6 @@ func (db *DB) captureFlightRecord(b sloBreach) *FlightRecord {
 		Metrics:      db.Metrics(),
 		Sched:        db.SchedState(),
 	}
-	rec.BreachesHi = rec.Metrics.SLOBreachesHi
-	rec.BreachesLo = rec.Metrics.SLOBreachesLo
 	for si, sh := range db.shards {
 		if gids := sh.eng.PreparedGIDs(); len(gids) > 0 {
 			rec.InFlight2PC = append(rec.InFlight2PC, ShardPrepared{Shard: si, GIDs: gids})
@@ -189,14 +184,4 @@ func (db *DB) writeFlightRecord(dir string, rec *FlightRecord) {
 // is immutable once published; callers may hold it indefinitely.
 func (db *DB) LastFlightRecord() *FlightRecord {
 	return db.lastFlight.Load()
-}
-
-// SLOBreaches reports cumulative SLO breach counts (hi, lo) across shards,
-// including breaches within the capture cooldown.
-func (db *DB) SLOBreaches() (hi, lo uint64) {
-	for _, sh := range db.shards {
-		hi += sh.reg.SLOBreaches(metrics.ClassHi)
-		lo += sh.reg.SLOBreaches(metrics.ClassLo)
-	}
-	return hi, lo
 }

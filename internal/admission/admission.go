@@ -27,9 +27,6 @@ type Controller struct {
 	maxInFlight int64 // <= 0 means unlimited concurrency
 	inFlight    atomic.Int64
 
-	admitted atomic.Uint64
-	rejected atomic.Uint64
-
 	// queueDelayBits is the EWMA of observed scheduling latency (nanoseconds,
 	// stored as float64 bits and updated by CAS). AdmitDeadline uses it to
 	// shed requests whose deadline is certain to be missed before they would
@@ -66,7 +63,6 @@ func (c *Controller) Admit() bool {
 	if c.maxInFlight > 0 {
 		if c.inFlight.Add(1) > c.maxInFlight {
 			c.inFlight.Add(-1)
-			c.rejected.Add(1)
 			return false
 		}
 	}
@@ -74,10 +70,8 @@ func (c *Controller) Admit() bool {
 		if c.maxInFlight > 0 {
 			c.inFlight.Add(-1)
 		}
-		c.rejected.Add(1)
 		return false
 	}
-	c.admitted.Add(1)
 	return true
 }
 
@@ -142,11 +136,10 @@ func (c *Controller) QueueDelayEstimate() int64 {
 // deadline will be missed before the request even starts, it is shed here —
 // cheaper than letting the scheduler drop it at dispatch, and it keeps the
 // doomed request from occupying queue capacity. Deadline sheds are counted
-// in both Stats' rejected and DeadlineRejected.
+// in DeadlineRejected.
 func (c *Controller) AdmitDeadline(deadline int64) bool {
 	if deadline != 0 && clock.Nanos()+c.QueueDelayEstimate() > deadline {
 		c.deadlineRejected.Add(1)
-		c.rejected.Add(1)
 		return false
 	}
 	return c.Admit()
@@ -155,8 +148,3 @@ func (c *Controller) AdmitDeadline(deadline int64) bool {
 // DeadlineRejected returns how many requests were shed because their
 // deadline could not be met given the observed queue delay.
 func (c *Controller) DeadlineRejected() uint64 { return c.deadlineRejected.Load() }
-
-// Stats returns the cumulative admitted and rejected counts.
-func (c *Controller) Stats() (admitted, rejected uint64) {
-	return c.admitted.Load(), c.rejected.Load()
-}

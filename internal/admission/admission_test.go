@@ -15,9 +15,11 @@ func TestUnlimited(t *testing.T) {
 			t.Fatal("unlimited controller rejected")
 		}
 	}
-	a, r := c.Stats()
-	if a != 1000 || r != 0 {
-		t.Fatalf("stats = %d/%d", a, r)
+	if !c.AdmitDeadline(0) {
+		t.Fatal("unlimited controller rejected a request without a deadline")
+	}
+	if c.InFlight() != 0 || c.DeadlineRejected() != 0 {
+		t.Fatalf("unlimited controller tracked in-flight %d, deadline sheds %d", c.InFlight(), c.DeadlineRejected())
 	}
 }
 
@@ -62,9 +64,11 @@ func TestInFlightCap(t *testing.T) {
 	if !c.Admit() {
 		t.Fatal("admit after release failed")
 	}
-	_, rejected := c.Stats()
-	if rejected != 1 {
-		t.Fatalf("rejected = %d", rejected)
+	if c.Admit() {
+		t.Fatal("admitted above cap after the release was used")
+	}
+	if c.InFlight() != 3 {
+		t.Fatalf("a rejected admit leaked an in-flight slot: %d", c.InFlight())
 	}
 }
 
@@ -157,9 +161,6 @@ func TestAdmitDeadline(t *testing.T) {
 	}
 	if got := c.DeadlineRejected(); got != 1 {
 		t.Fatalf("DeadlineRejected = %d", got)
-	}
-	if _, rejected := c.Stats(); rejected != 1 {
-		t.Fatalf("deadline shed not counted in Stats rejected: %d", rejected)
 	}
 	// A deadline beyond the estimate still gets in.
 	if !c.AdmitDeadline(clock.Nanos() + int64(time.Second)) {

@@ -142,9 +142,9 @@ func ContextSwitch(opt Options, rounds int) (SwitchResult, error) {
 
 // Fig8Result reports the uintr overhead experiment.
 type Fig8Result struct {
-	BaselineTPS float64 // no uintr machinery
+	BaselineTPS  float64 // no uintr machinery
 	WithUintrTPS float64 // scheduler pings every interval, no hi work
-	OverheadPct float64
+	OverheadPct  float64
 }
 
 // Fig8 reproduces Figure 8: standard TPC-C (all transactions low-priority)

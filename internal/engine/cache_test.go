@@ -10,14 +10,11 @@ import (
 	"preemptdb/internal/pcontext"
 )
 
-func newCachedEngine(t *testing.T) (*Engine, *metrics.Registry) {
+func newCachedEngine(t *testing.T) (*Engine, *hotcache.Cache) {
 	t.Helper()
-	reg := metrics.NewRegistry()
-	e := New(Config{
-		Metrics: reg,
-		Cache:   hotcache.New(hotcache.Config{MaxBytes: 1 << 20, Metrics: reg}),
-	})
-	return e, reg
+	cache := hotcache.New(hotcache.Config{MaxBytes: 1 << 20})
+	e := New(Config{Metrics: metrics.NewRegistry(), Cache: cache})
+	return e, cache
 }
 
 func mustPut(t *testing.T, e *Engine, ctx *pcontext.Context, tbl *Table, key, val []byte) {
@@ -45,7 +42,7 @@ func readOnce(t *testing.T, e *Engine, ctx *pcontext.Context, tbl *Table, key []
 // TestCacheReadThrough exercises the miss-fill-hit cycle and commit-time
 // invalidation through the engine's Get path.
 func TestCacheReadThrough(t *testing.T) {
-	e, reg := newCachedEngine(t)
+	e, cache := newCachedEngine(t)
 	ctx := pcontext.Detached()
 	tbl := e.CreateTable("t")
 	key := []byte("k")
@@ -54,20 +51,20 @@ func TestCacheReadThrough(t *testing.T) {
 	if v := readOnce(t, e, ctx, tbl, key); !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("first read = %q", v)
 	}
-	if reg.CacheMisses() == 0 {
+	if cache.Counts().Misses == 0 {
 		t.Fatal("first read did not count a miss")
 	}
 	if v := readOnce(t, e, ctx, tbl, key); !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("second read = %q", v)
 	}
-	if reg.CacheHits() == 0 {
+	if cache.Counts().Hits == 0 {
 		t.Fatal("second read did not hit the cache")
 	}
 
 	// Commit-time invalidation: the writer removes the entry, a fresh read
 	// refills with the new value.
 	mustPut(t, e, ctx, tbl, key, []byte("v2"))
-	if reg.CacheInvalidations() == 0 {
+	if cache.Counts().Invalidations == 0 {
 		t.Fatal("update did not invalidate the cached entry")
 	}
 	if v := readOnce(t, e, ctx, tbl, key); !bytes.Equal(v, []byte("v2")) {
@@ -134,13 +131,13 @@ func TestCacheOwnWritesBypass(t *testing.T) {
 // TestCacheSerializableBypasses: serializable reads must register in the read
 // set for commit validation, so they never consult the cache.
 func TestCacheSerializableBypasses(t *testing.T) {
-	e, reg := newCachedEngine(t)
+	e, cache := newCachedEngine(t)
 	ctx := pcontext.Detached()
 	tbl := e.CreateTable("t")
 	key := []byte("k")
 	mustPut(t, e, ctx, tbl, key, []byte("v1"))
 	readOnce(t, e, ctx, tbl, key) // fill
-	hits := reg.CacheHits()
+	hits := cache.Counts().Hits
 
 	tx := e.BeginIso(pcontext.Detached(), mvcc.Serializable)
 	if _, err := tx.Get(tbl, key); err != nil {
@@ -151,7 +148,7 @@ func TestCacheSerializableBypasses(t *testing.T) {
 	if err := tx.Commit(); !IsConflict(err) {
 		t.Fatalf("serializable commit after conflicting write: %v, want validation failure", err)
 	}
-	if reg.CacheHits() != hits {
+	if cache.Counts().Hits != hits {
 		t.Fatal("serializable read hit the cache")
 	}
 }
@@ -194,7 +191,7 @@ func TestCacheTwoPCInvalidation(t *testing.T) {
 // TestCacheTwoPCAbortReleasesWindow: ResolveAbort must close the write window
 // so later fills work, and readers keep the old value throughout.
 func TestCacheTwoPCAbortReleasesWindow(t *testing.T) {
-	e, reg := newCachedEngine(t)
+	e, cache := newCachedEngine(t)
 	ctx := pcontext.Detached()
 	tbl := e.CreateTable("t")
 	key := []byte("k")
@@ -212,11 +209,11 @@ func TestCacheTwoPCAbortReleasesWindow(t *testing.T) {
 	if v := readOnce(t, e, ctx, tbl, key); !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("post-abort read = %q, want v1", v)
 	}
-	hits := reg.CacheHits()
+	hits := cache.Counts().Hits
 	if v := readOnce(t, e, ctx, tbl, key); !bytes.Equal(v, []byte("v1")) {
 		t.Fatalf("post-abort second read = %q, want v1", v)
 	}
-	if reg.CacheHits() == hits {
+	if cache.Counts().Hits == hits {
 		t.Fatal("fill still blocked after ResolveAbort — leaked write window")
 	}
 }

@@ -103,10 +103,10 @@ func runPipelineCase(t *testing.T, step mvcc.Step, out pipeOutcome, guest bool) 
 		iso = mvcc.Serializable
 	}
 	sink := iofault.NewSink()
-	reg := metrics.NewRegistry()
+	cache := hotcache.New(hotcache.Config{MaxBytes: 1 << 20})
 	e := New(Config{
-		Isolation: iso, LogSink: sink, SyncEachCommit: true, Metrics: reg,
-		Cache: hotcache.New(hotcache.Config{MaxBytes: 1 << 20, Metrics: reg}),
+		Isolation: iso, LogSink: sink, SyncEachCommit: true, Metrics: metrics.NewRegistry(),
+		Cache: cache,
 	})
 	defer e.Close()
 	tbl := e.CreateTable("t")
@@ -279,7 +279,7 @@ func runPipelineCase(t *testing.T, step mvcc.Step, out pipeOutcome, guest bool) 
 		if visible {
 			wantB, wantC = []byte("b1"), []byte("c1")
 		}
-		hits := reg.CacheHits()
+		hits := cache.Counts().Hits
 		for i := 0; i < 2; i++ {
 			rd := e.BeginIso(nil, mvcc.SnapshotIsolation)
 			b, errB := rd.Get(tbl, keyB)
@@ -295,7 +295,7 @@ func runPipelineCase(t *testing.T, step mvcc.Step, out pipeOutcome, guest bool) 
 		moved(when+" (two readers)", 0, 2)
 		// Cache window: closed means the first read filled and the second
 		// hit; a prepared participant keeps it open and every read misses.
-		if filled := reg.CacheHits() > hits; filled == held {
+		if filled := cache.Counts().Hits > hits; filled == held {
 			t.Fatalf("%s: cache window open=%v, want open=%v", when, !filled, held)
 		}
 		if _, any := e.OldestPrepareLSN(); any != held {

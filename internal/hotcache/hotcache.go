@@ -32,7 +32,6 @@ package hotcache
 import (
 	"sync"
 
-	"preemptdb/internal/metrics"
 	"preemptdb/internal/wal"
 )
 
@@ -53,15 +52,12 @@ type Config struct {
 	// Shards is the number of lock shards (rounded up to a power of two,
 	// default 8). More shards cut contention between readers and committers.
 	Shards int
-	// Metrics receives hit/miss/invalidation counters (nil: not counted).
-	Metrics *metrics.Registry
 }
 
 // Cache is the sharded cache. Safe for concurrent use.
 type Cache struct {
 	shards []cshard
 	mask   uint64
-	reg    *metrics.Registry
 }
 
 type entry struct {
@@ -84,6 +80,9 @@ type cshard struct {
 	// fill's capture and its insert discards the fill).
 	pending [numStripes]uint32
 	seq     [numStripes]uint64
+	// hits, misses and invalidations are this shard's share of Counts,
+	// bumped under mu by the lookup or write window that already holds it.
+	hits, misses, invalidations uint64
 
 	_ [32]byte // keep neighboring shards off one cache line
 }
@@ -97,7 +96,7 @@ func New(cfg Config) *Cache {
 	for n&(n-1) != 0 {
 		n++
 	}
-	c := &Cache{shards: make([]cshard, n), mask: uint64(n - 1), reg: cfg.Metrics}
+	c := &Cache{shards: make([]cshard, n), mask: uint64(n - 1)}
 	budget := cfg.MaxBytes / int64(n)
 	if budget < 1 {
 		budget = 1
@@ -152,38 +151,19 @@ func (c *Cache) lookup(table uint32, key []byte, begin uint64, countMiss bool) (
 	h := hash(table, key)
 	sh := c.shard(h)
 	sh.mu.Lock()
-	m := sh.tables[table]
-	if m == nil {
-		sh.mu.Unlock()
-		c.miss(countMiss)
-		return nil, false
-	}
-	e, ok := m[string(key)]
-	if !ok {
-		sh.mu.Unlock()
-		c.miss(countMiss)
-		return nil, false
-	}
-	if begin < e.ts {
-		// Older snapshot than the cached version: bypass, don't evict — the
-		// entry is still right for current readers.
-		sh.mu.Unlock()
-		c.miss(countMiss)
+	defer sh.mu.Unlock()
+	// An entry stamped after the reader's snapshot is a miss too: bypass,
+	// don't evict — the entry is still right for current readers.
+	e, ok := sh.tables[table][string(key)]
+	if !ok || begin < e.ts {
+		if countMiss {
+			sh.misses++
+		}
 		return nil, false
 	}
 	sh.moveFront(e)
-	val := e.val
-	sh.mu.Unlock()
-	if c.reg != nil {
-		c.reg.IncCacheHits()
-	}
-	return val, true
-}
-
-func (c *Cache) miss(count bool) {
-	if count && c.reg != nil {
-		c.reg.IncCacheMisses()
-	}
+	sh.hits++
+	return e.val, true
 }
 
 // FillToken carries a fill's capture state between FillBegin and TryFill.
@@ -263,9 +243,7 @@ func (c *Cache) BeginWrites(buf *wal.Buffer) {
 		if m := sh.tables[table]; m != nil {
 			if e, ok := m[string(key)]; ok {
 				sh.remove(e)
-				if c.reg != nil {
-					c.reg.IncCacheInvalidations()
-				}
+				sh.invalidations++
 			}
 		}
 		sh.mu.Unlock()
@@ -291,6 +269,30 @@ func (c *Cache) EndWrites(buf *wal.Buffer) {
 		sh.seq[stripe(h)]++
 		sh.mu.Unlock()
 	}
+}
+
+// Counts is the cache's traffic since New: hits served, misses that fell
+// through to the MVCC read path, and entries removed by committing writers.
+type Counts struct {
+	Hits, Misses, Invalidations uint64
+}
+
+// Counts sums every shard's counters, each read under its shard's lock. A
+// nil cache counts nothing.
+func (c *Cache) Counts() Counts {
+	var n Counts
+	if c == nil {
+		return n
+	}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n.Hits += sh.hits
+		n.Misses += sh.misses
+		n.Invalidations += sh.invalidations
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // Len returns the number of cached entries (tests and observability).

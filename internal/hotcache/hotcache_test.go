@@ -6,12 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"preemptdb/internal/metrics"
 	"preemptdb/internal/wal"
 )
 
 func newTest(maxBytes int64) *Cache {
-	return New(Config{MaxBytes: maxBytes, Shards: 4, Metrics: metrics.NewRegistry()})
+	return New(Config{MaxBytes: maxBytes, Shards: 4})
 }
 
 func fill(t *testing.T, c *Cache, table uint32, key, val string, ts uint64) {
@@ -94,7 +93,7 @@ func TestBeginWritesInvalidates(t *testing.T) {
 	if _, ok := c.Lookup(1, []byte("c"), 99); !ok {
 		t.Fatal("untouched key c was dropped")
 	}
-	if got := c.reg.CacheInvalidations(); got != 2 {
+	if got := c.Counts().Invalidations; got != 2 {
 		t.Fatalf("invalidations = %d, want 2", got)
 	}
 }
@@ -154,10 +153,10 @@ func TestCounters(t *testing.T) {
 	c.Lookup(1, []byte("absent"), 9) // miss
 	c.Peek(1, []byte("k"), 9)        // hit (counted)
 	c.Peek(1, []byte("absent2"), 9)  // miss (not counted)
-	if got := c.reg.CacheHits(); got != 2 {
+	if got := c.Counts().Hits; got != 2 {
 		t.Fatalf("hits = %d, want 2", got)
 	}
-	if got := c.reg.CacheMisses(); got != 1 {
+	if got := c.Counts().Misses; got != 1 {
 		t.Fatalf("misses = %d, want 1 (Peek misses must not count)", got)
 	}
 }

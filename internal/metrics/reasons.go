@@ -3,8 +3,8 @@ package metrics
 import "sync/atomic"
 
 // AbortReason classifies why a request failed to commit — the typed
-// taxonomy the lifecycle refactor threads from the engine to DB.Stats and
-// the benchmark output. Keep String in sync when adding reasons.
+// taxonomy the facade counts per shard and reports as DB.Stats' Aborts*
+// counters.
 type AbortReason uint8
 
 // Abort reasons.
@@ -30,25 +30,6 @@ const (
 	NumAbortReasons
 )
 
-func (r AbortReason) String() string {
-	switch r {
-	case AbortConflict:
-		return "conflict"
-	case AbortDeadline:
-		return "deadline"
-	case AbortCanceled:
-		return "canceled"
-	case AbortQueueFull:
-		return "queue-full"
-	case AbortWALFailed:
-		return "wal-failed"
-	case AbortOther:
-		return "other"
-	default:
-		return "invalid"
-	}
-}
-
 // AbortCounters is a fixed vector of per-reason counters. The zero value is
 // ready to use; all methods are safe for concurrent use.
 type AbortCounters struct {
@@ -68,13 +49,4 @@ func (c *AbortCounters) Load(r AbortReason) uint64 {
 		return 0
 	}
 	return c.counts[r].Load()
-}
-
-// Snapshot returns all counters at once, indexed by AbortReason.
-func (c *AbortCounters) Snapshot() [NumAbortReasons]uint64 {
-	var out [NumAbortReasons]uint64
-	for i := range out {
-		out[i] = c.counts[i].Load()
-	}
-	return out
 }

@@ -69,10 +69,12 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", uint8(p))
 }
 
-// Registry is the always-on observability surface shared by the scheduler and
-// the engine: one ConcurrentHistogram per (class, phase) plus one for uintr
-// delivery latency (SendUIPI post → handler recognition). A nil *Registry is
-// inert, so instrumented code never branches on configuration.
+// Registry is the always-on latency store shared by the scheduler and the
+// engine: one ConcurrentHistogram per (class, phase) plus one for uintr
+// delivery latency (SendUIPI post → handler recognition), and the per-class
+// SLO watermark with its breach count. Counters live elsewhere (the facade's
+// Stats table). A nil *Registry is inert, so instrumented code never branches
+// on configuration.
 type Registry struct {
 	hists    [NumClasses][NumPhases]ConcurrentHistogram
 	delivery ConcurrentHistogram
@@ -85,15 +87,6 @@ type Registry struct {
 	slo         [NumClasses]atomic.Int64
 	sloBreaches [NumClasses]atomic.Uint64
 	breachFn    atomic.Pointer[func(Class, int64)]
-
-	// Front-end counters: hot-key cache traffic (hits served without entering
-	// a scheduler core, misses that fell through to MVCC, entries invalidated
-	// by commits). connsOpen is a gauge — the number of currently open server
-	// connections.
-	cacheHits          atomic.Uint64
-	cacheMisses        atomic.Uint64
-	cacheInvalidations atomic.Uint64
-	connsOpen          atomic.Int64
 }
 
 // NewRegistry returns an empty registry.
@@ -166,70 +159,6 @@ func (r *Registry) ObserveDelivery(hint int, v int64) {
 	r.delivery.Record(hint, v)
 }
 
-// IncCacheHits counts one hot-key cache hit.
-func (r *Registry) IncCacheHits() {
-	if r == nil {
-		return
-	}
-	r.cacheHits.Add(1)
-}
-
-// IncCacheMisses counts one hot-key cache miss.
-func (r *Registry) IncCacheMisses() {
-	if r == nil {
-		return
-	}
-	r.cacheMisses.Add(1)
-}
-
-// IncCacheInvalidations counts one cache entry removed by a committing writer.
-func (r *Registry) IncCacheInvalidations() {
-	if r == nil {
-		return
-	}
-	r.cacheInvalidations.Add(1)
-}
-
-// AddConnsOpen moves the open-connections gauge by delta (+1 accept, -1 close).
-func (r *Registry) AddConnsOpen(delta int64) {
-	if r == nil {
-		return
-	}
-	r.connsOpen.Add(delta)
-}
-
-// CacheHits returns the hot-key cache hit count.
-func (r *Registry) CacheHits() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.cacheHits.Load()
-}
-
-// CacheMisses returns the hot-key cache miss count.
-func (r *Registry) CacheMisses() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.cacheMisses.Load()
-}
-
-// CacheInvalidations returns the commit-time cache invalidation count.
-func (r *Registry) CacheInvalidations() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.cacheInvalidations.Load()
-}
-
-// ConnsOpen returns the open-connections gauge.
-func (r *Registry) ConnsOpen() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.connsOpen.Load()
-}
-
 // Phase returns the histogram for (class, phase) — snapshot/inspection use.
 func (r *Registry) Phase(c Class, p Phase) *ConcurrentHistogram {
 	if r == nil {
@@ -266,23 +195,13 @@ func (ps *PhaseSummaries) byPhase() [NumPhases]*Summary {
 	}
 }
 
-// RegistrySnapshot is a point-in-time structured view of a Registry,
-// JSON-serializable (preemptdb.DB.Metrics, the server Metrics frame, and the
-// /metrics.json HTTP endpoint all expose exactly this shape).
+// RegistrySnapshot is a point-in-time view of a Registry's latency
+// histograms, JSON-serializable (preemptdb.DB.Metrics, the server Metrics
+// frame, and the /metrics.json HTTP endpoint all expose exactly this shape).
 type RegistrySnapshot struct {
 	Hi            PhaseSummaries `json:"hi"`
 	Lo            PhaseSummaries `json:"lo"`
 	UintrDelivery Summary        `json:"uintr_delivery"`
-	// Front-end counters: hot-key cache traffic, and ConnsOpen, a
-	// point-in-time gauge rather than a counter.
-	CacheHits          uint64 `json:"cache_hits"`
-	CacheMisses        uint64 `json:"cache_misses"`
-	CacheInvalidations uint64 `json:"cache_invalidations"`
-	ConnsOpen          int64  `json:"conns_open"`
-	// SLOBreaches count end-to-end (PhaseTotal) samples that exceeded the
-	// per-class SLO watermark; zero when no SLO is configured.
-	SLOBreachesHi uint64 `json:"slo_breaches_hi"`
-	SLOBreachesLo uint64 `json:"slo_breaches_lo"`
 }
 
 // Snapshot summarizes every (class, phase) histogram plus delivery latency.
@@ -301,12 +220,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		}
 	}
 	snap.UintrDelivery = r.delivery.Summarize()
-	snap.CacheHits = r.cacheHits.Load()
-	snap.CacheMisses = r.cacheMisses.Load()
-	snap.CacheInvalidations = r.cacheInvalidations.Load()
-	snap.ConnsOpen = r.connsOpen.Load()
-	snap.SLOBreachesHi = r.sloBreaches[ClassHi].Load()
-	snap.SLOBreachesLo = r.sloBreaches[ClassLo].Load()
 	return snap
 }
 
@@ -340,14 +253,6 @@ func MergedSnapshot(regs []*Registry) RegistrySnapshot {
 		}
 	}
 	snap.UintrDelivery = merge(func(r *Registry) *ConcurrentHistogram { return r.Delivery() })
-	for _, r := range regs {
-		snap.CacheHits += r.CacheHits()
-		snap.CacheMisses += r.CacheMisses()
-		snap.CacheInvalidations += r.CacheInvalidations()
-		snap.ConnsOpen += r.ConnsOpen()
-		snap.SLOBreachesHi += r.SLOBreaches(ClassHi)
-		snap.SLOBreachesLo += r.SLOBreaches(ClassLo)
-	}
 	return snap
 }
 
@@ -370,22 +275,6 @@ func (s RegistrySnapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP preemptdb_uintr_delivery_nanoseconds Userspace-interrupt latency from SendUIPI post to handler recognition.\n")
 	fmt.Fprintf(w, "# TYPE preemptdb_uintr_delivery_nanoseconds summary\n")
 	writePromSummary(w, "preemptdb_uintr_delivery_nanoseconds", "", s.UintrDelivery)
-	fmt.Fprintf(w, "# HELP preemptdb_cache_hits_total Hot-key cache hits served without entering a scheduler core.\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_cache_hits_total counter\n")
-	fmt.Fprintf(w, "preemptdb_cache_hits_total %d\n", s.CacheHits)
-	fmt.Fprintf(w, "# HELP preemptdb_cache_misses_total Hot-key cache misses that fell through to the MVCC read path.\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_cache_misses_total counter\n")
-	fmt.Fprintf(w, "preemptdb_cache_misses_total %d\n", s.CacheMisses)
-	fmt.Fprintf(w, "# HELP preemptdb_cache_invalidations_total Cache entries removed by committing writers.\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_cache_invalidations_total counter\n")
-	fmt.Fprintf(w, "preemptdb_cache_invalidations_total %d\n", s.CacheInvalidations)
-	fmt.Fprintf(w, "# HELP preemptdb_conns_open Currently open server connections.\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_conns_open gauge\n")
-	fmt.Fprintf(w, "preemptdb_conns_open %d\n", s.ConnsOpen)
-	fmt.Fprintf(w, "# HELP preemptdb_slo_breaches_total End-to-end latency samples over the per-class SLO watermark.\n")
-	fmt.Fprintf(w, "# TYPE preemptdb_slo_breaches_total counter\n")
-	fmt.Fprintf(w, "preemptdb_slo_breaches_total{class=\"hi\"} %d\n", s.SLOBreachesHi)
-	fmt.Fprintf(w, "preemptdb_slo_breaches_total{class=\"lo\"} %d\n", s.SLOBreachesLo)
 }
 
 func writePromSummary(w io.Writer, name, labels string, sum Summary) {

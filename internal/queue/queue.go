@@ -19,12 +19,12 @@ import (
 // the two sides may run concurrently. Capacity is rounded up to a power of
 // two. The zero value is not usable; call NewSPSC.
 type SPSC[T any] struct {
-	mask  uint64
-	buf   []slot[T]
-	_     [48]byte // keep head/tail on separate cache lines from buf header
-	head  atomic.Uint64
-	_     [56]byte
-	tail  atomic.Uint64
+	mask uint64
+	buf  []slot[T]
+	_    [48]byte // keep head/tail on separate cache lines from buf header
+	head atomic.Uint64
+	_    [56]byte
+	tail atomic.Uint64
 }
 
 type slot[T any] struct {

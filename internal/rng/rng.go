@@ -158,9 +158,9 @@ func LastName(num int) string {
 // rejection-inversion method of Hörmann and Derflinger, the standard choice
 // for database benchmarks (YCSB uses the same construction).
 type Zipf struct {
-	r                *Rand
-	n                uint64
-	theta            float64
+	r                 *Rand
+	n                 uint64
+	theta             float64
 	alpha, zetan, eta float64
 }
 

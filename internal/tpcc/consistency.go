@@ -8,10 +8,10 @@ import "fmt"
 // experiments: whatever the preemption machinery did, these invariants must
 // hold afterwards.
 //
-//	1. W_YTD = Σ D_YTD                            (per warehouse)
-//	2. D_NEXT_O_ID - 1 = max(O_ID) = max(NO_O_ID) (per district)
-//	3. NO_O_IDs are contiguous                    (per district)
-//	4. Σ O_OL_CNT = count(order lines)            (per district)
+//  1. W_YTD = Σ D_YTD                            (per warehouse)
+//  2. D_NEXT_O_ID - 1 = max(O_ID) = max(NO_O_ID) (per district)
+//  3. NO_O_IDs are contiguous                    (per district)
+//  4. Σ O_OL_CNT = count(order lines)            (per district)
 func (c *Client) CheckConsistency() error {
 	tx := c.e.Begin(nil)
 	defer tx.Abort()

@@ -36,10 +36,10 @@ const NumNations = 25
 // milliseconds on one core — long enough to dominate a worker, as in the
 // paper's mixed workload — without the multi-gigabyte footprint of SF-1.
 type ScaleConfig struct {
-	Parts         int // default 8000
-	Suppliers     int // default 400
-	SuppsPerPart  int // partsupp entries per part; spec 4
-	Seed          uint64
+	Parts        int // default 8000
+	Suppliers    int // default 400
+	SuppsPerPart int // partsupp entries per part; spec 4
+	Seed         uint64
 }
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
@@ -102,9 +102,9 @@ func Load(e *engine.Engine, cfg ScaleConfig) (ScaleConfig, error) {
 	tx = e.Begin(nil)
 	for p := 1; p <= cfg.Parts; p++ {
 		part := Part{
-			Key:  uint32(p),
-			Name: r.AString(15, 30),
-			Mfgr: fmt.Sprintf("Manufacturer#%d", r.IntRange(1, 5)),
+			Key:   uint32(p),
+			Name:  r.AString(15, 30),
+			Mfgr:  fmt.Sprintf("Manufacturer#%d", r.IntRange(1, 5)),
 			Brand: fmt.Sprintf("Brand#%d%d", r.IntRange(1, 5), r.IntRange(1, 5)),
 			Type: typeSyllable1[r.Intn(len(typeSyllable1))] + " " +
 				typeSyllable2[r.Intn(len(typeSyllable2))] + " " +

@@ -31,9 +31,6 @@ type SchedDebug struct {
 	// QueueDelayNanos is the admission controller's EWMA of observed
 	// scheduling queue delay.
 	QueueDelayNanos int64 `json:"queue_delay_nanos"`
-	// DeadlineRejected counts requests shed at admission because the queue
-	// delay implied a certain deadline miss.
-	DeadlineRejected uint64 `json:"deadline_rejected"`
 	// Shards holds each shard's per-core view.
 	Shards []ShardSched `json:"shards"`
 }
@@ -47,9 +44,8 @@ type SchedDebug struct {
 // different instants.
 func (db *DB) SchedState() SchedDebug {
 	dbg := SchedDebug{
-		QueueDelayNanos:  int64(db.adm.QueueDelayEstimate()),
-		DeadlineRejected: db.adm.DeadlineRejected(),
-		Shards:           make([]ShardSched, len(db.shards)),
+		QueueDelayNanos: int64(db.adm.QueueDelayEstimate()),
+		Shards:          make([]ShardSched, len(db.shards)),
 	}
 	for si, sh := range db.shards {
 		dbg.Shards[si] = ShardSched{Shard: si, Workers: sh.sch.State()}

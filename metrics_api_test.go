@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -157,5 +158,81 @@ func TestMetricsAddrBindFailure(t *testing.T) {
 	// Binding the same concrete port again must fail and not leak a half-open DB.
 	if _, err := Open("", Config{Workers: 1, MetricsAddr: db.MetricsAddr().String()}); err == nil {
 		t.Fatal("expected bind failure on occupied port")
+	}
+}
+
+// TestStatsTableReachesEverySurface pins the counter table: every Stats
+// field names itself once, add folds every field, and /metrics serves every
+// field as a family of its own.
+func TestStatsTableReachesEverySurface(t *testing.T) {
+	fields := reflect.VisibleFields(reflect.TypeOf(Stats{}))
+	seen := map[string]bool{}
+	for _, f := range fields {
+		name, help := f.Tag.Get("stat"), f.Tag.Get("help")
+		if name == "" || help == "" {
+			t.Fatalf("Stats.%s has no exposition name or help text", f.Name)
+		}
+		if seen[name] {
+			t.Fatalf("Stats.%s reuses the exposition name %q", f.Name, name)
+		}
+		seen[name] = true
+	}
+
+	// add sums every counter and ORs the flag, whatever the field.
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range fields {
+		if av.Field(i).Kind() == reflect.Bool {
+			bv.Field(i).SetBool(true)
+			continue
+		}
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.add(b)
+	for i, f := range fields {
+		switch fv := av.Field(i); fv.Kind() {
+		case reflect.Bool:
+			if !fv.Bool() {
+				t.Errorf("add lost the flag Stats.%s", f.Name)
+			}
+		default:
+			if got, want := fv.Uint(), uint64(101*(i+1)); got != want {
+				t.Errorf("add: Stats.%s = %d, want %d", f.Name, got, want)
+			}
+		}
+	}
+	var none Stats
+	none.add(Stats{})
+	if none.WALFailed {
+		t.Error("add set WALFailed from two clear flags")
+	}
+
+	db := openTest(t, Config{Workers: 1, MetricsAddr: "127.0.0.1:0"})
+	metricsWorkload(t, db)
+	resp, err := http.Get("http://" + db.MetricsAddr().String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := string(body)
+	for _, f := range fields {
+		name := "preemptdb_" + f.Tag.Get("stat")
+		for _, want := range []string{
+			"# HELP " + name + " " + f.Tag.Get("help") + "\n",
+			"# TYPE " + name + " ",
+			"\n" + name + " ",
+		} {
+			if !strings.Contains(prom, want) {
+				t.Errorf("/metrics has no %q for Stats.%s", strings.TrimSpace(want), f.Name)
+			}
+		}
+	}
+	if !strings.Contains(prom, "\npreemptdb_commits_total 8\n") {
+		t.Errorf("/metrics does not count the workload's 8 commits:\n%s", prom)
 	}
 }

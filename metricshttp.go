@@ -2,7 +2,6 @@ package preemptdb
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"strconv"
@@ -26,14 +25,10 @@ import (
 // are those of the combined sample population, never averages of per-shard
 // percentiles.
 func (db *DB) Metrics() metrics.RegistrySnapshot {
-	regs := make([]*metrics.Registry, 0, len(db.shards)+1)
-	for _, sh := range db.shards {
-		regs = append(regs, sh.reg)
+	regs := make([]*metrics.Registry, len(db.shards))
+	for i, sh := range db.shards {
+		regs[i] = sh.reg
 	}
-	// The front-end registry carries the network edge's counters (conns shed,
-	// open-connection gauge); counters sum and its empty histograms merge as
-	// zeros, so including it never skews the latency percentiles.
-	regs = append(regs, db.frontReg)
 	return metrics.MergedSnapshot(regs)
 }
 
@@ -80,7 +75,7 @@ func (db *DB) startMetricsServer(addr string) error {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		db.Metrics().WritePrometheus(w)
-		writePromCounters(w, db.Stats())
+		db.Stats().writePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -144,26 +139,4 @@ func (db *DB) stopMetricsServer() {
 		db.msrv.Close()
 		db.msrv, db.mln = nil, nil
 	}
-}
-
-// writePromCounters renders the Stats counters as Prometheus counter/gauge
-// families alongside the latency summaries.
-func writePromCounters(w http.ResponseWriter, st Stats) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP preemptdb_%s %s\n# TYPE preemptdb_%s counter\npreemptdb_%s %d\n",
-			name, help, name, name, v)
-	}
-	counter("commits_total", "Committed transactions.", st.Commits)
-	counter("aborts_total", "Aborted transactions.", st.Aborts)
-	counter("interrupts_sent_total", "User interrupts issued by the scheduler.", st.InterruptsSent)
-	counter("passive_switches_total", "Interrupt-driven context switches.", st.PassiveSwitches)
-	counter("active_switches_total", "Voluntary context switches.", st.ActiveSwitches)
-	counter("starvation_skips_total", "Dispatches withheld by starvation prevention.", st.StarvationSkips)
-	counter("log_bytes_total", "Framed WAL bytes written.", st.LogBytes)
-	counter("log_batches_total", "Group-commit batches written.", st.LogBatches)
-	walFailed := 0
-	if st.WALFailed {
-		walFailed = 1
-	}
-	fmt.Fprintf(w, "# HELP preemptdb_wal_failed Whether the WAL has latched a permanent failure.\n# TYPE preemptdb_wal_failed gauge\npreemptdb_wal_failed %d\n", walFailed)
 }

@@ -179,7 +179,7 @@ func TestFlightRecorderOnSLOBreach(t *testing.T) {
 	if rec.LatencyNanos <= rec.SLONanos || rec.SLONanos != 1 {
 		t.Errorf("latency %d / slo %d: breach should exceed target", rec.LatencyNanos, rec.SLONanos)
 	}
-	if rec.BreachesHi == 0 {
+	if rec.Stats.SLOBreachesHi == 0 {
 		t.Error("bundle reports zero hi breaches")
 	}
 	if len(rec.Sched.Shards) != 2 {
@@ -201,9 +201,8 @@ func TestFlightRecorderOnSLOBreach(t *testing.T) {
 	if len(rec.Trace) == 0 {
 		t.Error("bundle has no trace rings despite tracing enabled")
 	}
-	hi, _ := db.SLOBreaches()
-	if hi == 0 {
-		t.Error("DB.SLOBreaches reports zero hi breaches")
+	if db.Stats().SLOBreachesHi == 0 {
+		t.Error("DB.Stats reports zero hi breaches")
 	}
 
 	// The bundle must round-trip as JSON (the /debug/flight and on-disk form).

@@ -276,6 +276,9 @@ type shard struct {
 	// reg is the phase-latency registry shared by this shard's scheduler and
 	// engine; DB.Metrics merges the per-shard registries.
 	reg *metrics.Registry
+	// cache is the engine's hot-key cache (nil when Config.CacheBytes is 0),
+	// kept here for its counters.
+	cache *hotcache.Cache
 	// aborts classifies this shard's failed requests by reason.
 	aborts metrics.AbortCounters
 	// rrLow round-robins low-priority submissions across this shard's
@@ -312,11 +315,6 @@ type DB struct {
 	// msrv/mln are the optional MetricsAddr HTTP export listener.
 	msrv *http.Server
 	mln  net.Listener
-	// frontReg collects the network front-end's counters (the
-	// open-connection gauge). It merges into DB.Metrics and DB.Stats alongside
-	// the per-shard registries; the server package bumps it via
-	// FrontendRegistry.
-	frontReg *metrics.Registry
 	// traceIDs issues database-wide transaction trace ids: shared by submit
 	// (which stamps every request up front) and every shard's scheduler (which
 	// assigns to requests that bypass submit), so a trace id uniquely names one
@@ -413,10 +411,7 @@ func newShard(cfg Config, si int, dlog *store.Log) *shard {
 	// size budget splits evenly.
 	var cache *hotcache.Cache
 	if cfg.CacheBytes > 0 {
-		cache = hotcache.New(hotcache.Config{
-			MaxBytes: cfg.CacheBytes / int64(cfg.Shards),
-			Metrics:  reg,
-		})
+		cache = hotcache.New(hotcache.Config{MaxBytes: cfg.CacheBytes / int64(cfg.Shards)})
 	}
 	eng := engine.New(engine.Config{
 		Isolation:      cfg.Isolation.toMVCC(),
@@ -428,7 +423,7 @@ func newShard(cfg Config, si int, dlog *store.Log) *shard {
 		ShardID:        si,
 		TraceSampling:  cfg.TraceSampling,
 	})
-	return &shard{eng: eng, reg: reg, dlog: dlog}
+	return &shard{eng: eng, reg: reg, cache: cache, dlog: dlog}
 }
 
 // startShard attaches and starts the shard's scheduler. Worker contexts are
@@ -471,7 +466,7 @@ func assembleDB(cfg Config, shs []*shard) (*DB, error) {
 	// already lost.
 	adm := admission.New(0, 0, 0)
 	db := &DB{cfg: cfg, shards: shs, adm: adm, gidBase: rand.Uint64() &^ dtx.GIDBit,
-		frontReg: metrics.NewRegistry(), traceIDs: traceIDs}
+		traceIDs: traceIDs}
 	db.startFlightRecorder()
 	if cfg.MetricsAddr != "" {
 		if err := db.startMetricsServer(cfg.MetricsAddr); err != nil {
@@ -962,155 +957,9 @@ func (db *DB) ReadOnly() bool {
 	return false
 }
 
-// Stats is a point-in-time snapshot of engine and scheduler counters.
-type Stats struct {
-	Commits, Aborts uint64
-	InterruptsSent  uint64
-	StarvationSkips uint64
-	PassiveSwitches uint64
-	ActiveSwitches  uint64
-	LogBytes        uint64
-	// LogBatches counts group-commit batches written; Commits/LogBatches is
-	// the achieved group-commit fan-in.
-	LogBatches uint64
-	// VacuumedVersions counts record versions reclaimed by manual and
-	// background vacuum.
-	VacuumedVersions uint64
-	// ShedExpired / ShedCanceled count queued requests dropped at dispatch
-	// because the deadline had passed / the submitter had canceled.
-	ShedExpired  uint64
-	ShedCanceled uint64
-	// DeadlineRejected counts requests shed at admission because the
-	// observed queue delay implied a certain deadline miss.
-	DeadlineRejected uint64
-	// AbortsConflict..AbortsOther classify every failed request by reason:
-	// conflict budget exhausted, deadline missed, submitter-canceled,
-	// rejected up front (queues full or admission), or any other
-	// transaction-body error.
-	AbortsConflict  uint64
-	AbortsDeadline  uint64
-	AbortsCanceled  uint64
-	AbortsQueueFull uint64
-	// AbortsWALFailed counts requests refused because the write-ahead log
-	// latched a permanent failure and the database is read-only.
-	AbortsWALFailed uint64
-	AbortsOther     uint64
-	// WALFailed reports that the write-ahead log has latched a permanent
-	// failure (see ReadOnly).
-	WALFailed bool
-	// IndexRestarts counts optimistic B+tree operation restarts (version
-	// validation failures under concurrent structural modification). It
-	// measures contention, not errors.
-	IndexRestarts uint64
-	// CacheHits / CacheMisses / CacheInvalidations count hot-key cache
-	// traffic: reads served without entering a scheduler core, reads that
-	// fell through to MVCC, and entries removed by committing writers. All
-	// zero unless Config.CacheBytes enables the cache.
-	CacheHits          uint64
-	CacheMisses        uint64
-	CacheInvalidations uint64
-	// ConnsOpen is the network front-end's open-connection gauge. It is
-	// facade-global (the front-end sits in front of shard routing) and
-	// appears only in the DB-level aggregate.
-	ConnsOpen int64
-}
-
-// stats snapshots one shard's counters. Each counter is read exactly once
-// per call; DeadlineRejected is facade-global (admission control runs before
-// routing) and appears only in the DB-level aggregate.
-func (sh *shard) stats() Stats {
-	st := Stats{
-		Commits:            sh.eng.Commits(),
-		Aborts:             sh.eng.Aborts(),
-		InterruptsSent:     sh.sch.InterruptsSent(),
-		StarvationSkips:    sh.sch.StarvationSkips(),
-		LogBytes:           sh.eng.Log().LSN(),
-		LogBatches:         sh.eng.Log().Batches(),
-		VacuumedVersions:   sh.eng.Vacuumed(),
-		ShedExpired:        sh.sch.ShedExpired(),
-		ShedCanceled:       sh.sch.ShedCanceled(),
-		AbortsConflict:     sh.aborts.Load(metrics.AbortConflict),
-		AbortsDeadline:     sh.aborts.Load(metrics.AbortDeadline),
-		AbortsCanceled:     sh.aborts.Load(metrics.AbortCanceled),
-		AbortsQueueFull:    sh.aborts.Load(metrics.AbortQueueFull),
-		AbortsWALFailed:    sh.aborts.Load(metrics.AbortWALFailed),
-		AbortsOther:        sh.aborts.Load(metrics.AbortOther),
-		WALFailed:          sh.eng.WALErr() != nil,
-		IndexRestarts:      sh.eng.IndexRestarts(),
-		CacheHits:          sh.reg.CacheHits(),
-		CacheMisses:        sh.reg.CacheMisses(),
-		CacheInvalidations: sh.reg.CacheInvalidations(),
-	}
-	for _, w := range sh.sch.Workers() {
-		for i := 0; i < w.Core().NumContexts(); i++ {
-			st.PassiveSwitches += w.Core().Context(i).TCB().PassiveSwitches()
-			st.ActiveSwitches += w.Core().Context(i).TCB().ActiveSwitches()
-		}
-	}
-	return st
-}
-
-// add accumulates o into st (counters sum; WALFailed ORs).
-func (st *Stats) add(o Stats) {
-	st.Commits += o.Commits
-	st.Aborts += o.Aborts
-	st.InterruptsSent += o.InterruptsSent
-	st.StarvationSkips += o.StarvationSkips
-	st.PassiveSwitches += o.PassiveSwitches
-	st.ActiveSwitches += o.ActiveSwitches
-	st.LogBytes += o.LogBytes
-	st.LogBatches += o.LogBatches
-	st.VacuumedVersions += o.VacuumedVersions
-	st.ShedExpired += o.ShedExpired
-	st.ShedCanceled += o.ShedCanceled
-	st.DeadlineRejected += o.DeadlineRejected
-	st.AbortsConflict += o.AbortsConflict
-	st.AbortsDeadline += o.AbortsDeadline
-	st.AbortsCanceled += o.AbortsCanceled
-	st.AbortsQueueFull += o.AbortsQueueFull
-	st.AbortsWALFailed += o.AbortsWALFailed
-	st.AbortsOther += o.AbortsOther
-	st.WALFailed = st.WALFailed || o.WALFailed
-	st.IndexRestarts += o.IndexRestarts
-	st.CacheHits += o.CacheHits
-	st.CacheMisses += o.CacheMisses
-	st.CacheInvalidations += o.CacheInvalidations
-	st.ConnsOpen += o.ConnsOpen
-}
-
-// ShardStats returns one Stats per shard, each shard's counters snapshotted
-// exactly once. The global DeadlineRejected counter is not attributable to a
-// shard and is reported only by Stats.
-func (db *DB) ShardStats() []Stats {
-	out := make([]Stats, len(db.shards))
-	for i, sh := range db.shards {
-		out[i] = sh.stats()
-	}
-	return out
-}
-
-// Stats returns current counters, aggregated across shards. Every per-shard
-// counter is read exactly once per call (a single snapshot per shard, then
-// summed), so the aggregate never double-counts or skews against the
-// per-shard view returned by ShardStats.
-func (db *DB) Stats() Stats {
-	var agg Stats
-	for _, sh := range db.shards {
-		agg.add(sh.stats())
-	}
-	agg.DeadlineRejected = db.adm.DeadlineRejected()
-	agg.ConnsOpen = db.frontReg.ConnsOpen()
-	return agg
-}
-
 // Config returns the configuration the database was opened with, defaults
 // applied.
 func (db *DB) Config() Config { return db.cfg }
-
-// FrontendRegistry returns the registry the network front-end records its
-// open-connection gauge into. It merges into Metrics and Stats alongside the
-// per-shard registries.
-func (db *DB) FrontendRegistry() *metrics.Registry { return db.frontReg }
 
 // CachedGet serves a point read straight from the hot-key cache, bypassing
 // transaction begin, shard scheduling, and the MVCC read path entirely. It

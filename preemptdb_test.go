@@ -169,54 +169,64 @@ func TestExecBothPriorities(t *testing.T) {
 	})
 }
 
+// TestHighPreemptsLow: on one worker, a low-priority scan runs until a
+// high-priority request has committed, so the high request can only commit
+// by preempting it. A lost interrupt cannot hang the test: the scan gives up
+// at its iteration cap, the high request then runs after it, and the test
+// fails on the order.
 func TestHighPreemptsLow(t *testing.T) {
 	db := openTest(t, Config{Workers: 1, Policy: PolicyPreempt})
 	db.CreateTable("data")
-	// Load enough rows that a full scan takes a while.
-	db.Run(func(tx *Txn) error {
+	if err := db.Run(func(tx *Txn) error {
 		var k [8]byte
-		for i := 0; i < 50000; i++ {
+		for i := 0; i < 20000; i++ {
 			binary.BigEndian.PutUint64(k[:], uint64(i))
 			if err := tx.Insert("data", k[:], bytes.Repeat([]byte("x"), 64)); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
 
-	longDone := make(chan struct{})
-	db.Submit(Low, func(tx *Txn) error {
-		// A long analytical scan, repeated to stretch it out.
-		for i := 0; i < 20; i++ {
-			tx.Scan("data", nil, nil, func(k, v []byte) bool { return true })
+	const scanCap = 1000 // the watchdog: far more scans than a preemption takes
+	var hiDone, lowInFlight atomic.Bool
+	var scans int
+	lowStarted, lowDone := make(chan struct{}), make(chan error, 1)
+	if err := db.Submit(Low, func(tx *Txn) error {
+		lowInFlight.Store(true)
+		close(lowStarted)
+		for scans = 0; scans < scanCap && !hiDone.Load(); scans++ {
+			if err := tx.Scan("data", nil, nil, func(k, v []byte) bool { return true }); err != nil {
+				return err
+			}
 		}
+		lowInFlight.Store(false)
 		return nil
-	}, func(error) { close(longDone) })
-
-	time.Sleep(5 * time.Millisecond)
-	start := time.Now()
+	}, func(err error) { lowDone <- err }); err != nil {
+		t.Fatal(err)
+	}
+	<-lowStarted
 	if err := db.Exec(High, func(tx *Txn) error {
 		_, err := tx.Get("data", binary.BigEndian.AppendUint64(nil, 7))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	hiLatency := time.Since(start)
-	select {
-	case <-longDone:
-		t.Log("long scan finished before high-priority txn; timing too tight to assert preemption")
-	default:
-		if hiLatency > 100*time.Millisecond {
-			t.Fatalf("high-priority latency %v under preemption", hiLatency)
-		}
+	committedDuringLow := lowInFlight.Load()
+	hiDone.Store(true)
+	if err := <-lowDone; err != nil {
+		t.Fatal(err)
 	}
-	<-longDone
-	st := db.Stats()
-	if st.InterruptsSent == 0 {
-		t.Fatal("no interrupts sent")
+	if !committedDuringLow {
+		t.Fatalf("high-priority request committed after the low scan (%d of %d scans), not by preempting it", scans, scanCap)
 	}
-	if st.Commits == 0 {
-		t.Fatal("no commits counted")
+	after := db.Stats()
+	if after.InterruptsSent == before.InterruptsSent || after.PassiveSwitches == before.PassiveSwitches {
+		t.Fatalf("no preemption counted: interrupts %d -> %d, passive switches %d -> %d",
+			before.InterruptsSent, after.InterruptsSent, before.PassiveSwitches, after.PassiveSwitches)
 	}
 }
 

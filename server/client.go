@@ -128,7 +128,9 @@ func (c *Client) TxnTraced(p preemptdb.Priority, traceID uint64, traceWait time.
 	return results, trace, nil
 }
 
-// Stats returns the server's counter summary line.
+// Stats returns the server's counters as one line of space-separated
+// name=value pairs: every field of the database's Stats table under its
+// exposition name, then conns_open, the connections the server holds open.
 func (c *Client) Stats() (string, error) {
 	status, msg, _, err := c.roundTrip([]byte{reqStats})
 	if err != nil {

@@ -80,7 +80,6 @@ func (c *conn) serve() {
 func (c *conn) close() {
 	s := c.s
 	c.nc.Close()
-	s.reg.AddConnsOpen(-1)
 	s.mu.Lock()
 	delete(s.open, c)
 	s.mu.Unlock()

@@ -498,7 +498,7 @@ func TestPeerThatNeverReadsIsClosedWithBoundedMemory(t *testing.T) {
 	if c := cap(victim.wbuf); c > 4*connBuf {
 		t.Fatalf("response buffer grew to %d bytes behind a peer that never read (bound %d)", c, 4*connBuf)
 	}
-	if open := srv.db.Stats().ConnsOpen; open != 0 {
+	if open := srv.ConnsOpen(); open != 0 {
 		t.Fatalf("ConnsOpen = %d after the close", open)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -140,4 +141,38 @@ func TestMalformedMetricsFrame(t *testing.T) {
 	if err := json.Unmarshal([]byte(msg), &snap); err != nil {
 		t.Fatalf("metrics after malformed frame not JSON: %v", err)
 	}
+}
+
+// TestStatsTableOverWire: the stats frame carries every field of the
+// database's Stats table under its exposition name, plus the server's open
+// connections, and the connection count drops back to zero once the client
+// hangs up.
+func TestStatsTableOverWire(t *testing.T) {
+	c, srv := startServer(t, preemptdb.Config{})
+	metricsTraffic(t, c)
+	msg, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := map[string]string{}
+	for _, kv := range strings.Fields(msg) {
+		name, val, ok := strings.Cut(kv, "=")
+		if !ok {
+			t.Fatalf("stats frame item %q is not name=value: %q", kv, msg)
+		}
+		pairs[name] = val
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(preemptdb.Stats{})) {
+		if _, ok := pairs[f.Tag.Get("stat")]; !ok {
+			t.Errorf("stats frame has no %s= for Stats.%s: %q", f.Tag.Get("stat"), f.Name, msg)
+		}
+	}
+	if pairs["commits_total"] != "8" || pairs["wal_failed"] != "false" {
+		t.Errorf("stats frame misreports the traffic: %q", msg)
+	}
+	if pairs["conns_open"] != "1" || srv.ConnsOpen() != 1 {
+		t.Errorf("one client open: frame says conns_open=%s, ConnsOpen() = %d", pairs["conns_open"], srv.ConnsOpen())
+	}
+	c.Close()
+	waitFor(t, "the server to drop the closed connection", func() bool { return srv.ConnsOpen() == 0 })
 }

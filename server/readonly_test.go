@@ -41,7 +41,7 @@ func TestServerReadOnlyDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(msg, "wal-failed=true") {
+	if !strings.Contains(msg, "wal_failed=true") {
 		t.Fatalf("stats line does not flag the failure: %q", msg)
 	}
 }

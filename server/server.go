@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
 	"preemptdb"
-	"preemptdb/internal/metrics"
 )
 
 // Server serves the PreemptDB wire protocol on a listener, executing each
@@ -18,8 +18,6 @@ import (
 type Server struct {
 	db  *preemptdb.DB
 	lis net.Listener
-
-	reg *metrics.Registry // the DB's front-end registry (open connections)
 
 	mu     sync.Mutex
 	open   map[*conn]struct{}
@@ -45,7 +43,6 @@ type Server struct {
 func New(db *preemptdb.DB) *Server {
 	return &Server{
 		db:           db,
-		reg:          db.FrontendRegistry(),
 		open:         make(map[*conn]struct{}),
 		Logf:         log.Printf,
 		IdleTimeout:  2 * time.Minute,
@@ -84,10 +81,16 @@ func (s *Server) serve(lis net.Listener) {
 		}
 		s.open[c] = struct{}{}
 		s.mu.Unlock()
-		s.reg.AddConnsOpen(1)
 		s.wg.Add(1)
 		go c.serve()
 	}
+}
+
+// ConnsOpen returns the number of connections the server holds open.
+func (s *Server) ConnsOpen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.open)
 }
 
 // Close stops the listener and all connections.
@@ -155,10 +158,7 @@ func (s *Server) dispatch(b, frame []byte) ([]byte, error) {
 		return encodeResults(b, statusOK, string(js), nil), nil
 
 	case reqStats:
-		st := s.db.Stats()
-		msg := fmt.Sprintf("commits=%d aborts=%d interrupts=%d passive=%d active=%d wal-failed=%t cache-hits=%d cache-misses=%d",
-			st.Commits, st.Aborts, st.InterruptsSent, st.PassiveSwitches, st.ActiveSwitches, st.WALFailed,
-			st.CacheHits, st.CacheMisses)
+		msg := s.db.Stats().String() + " conns_open=" + strconv.Itoa(s.ConnsOpen())
 		return encodeResults(b, statusOK, msg, nil), nil
 
 	case reqTxn:
