@@ -35,3 +35,34 @@ func TestRunAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestExecOptsAllocs pins the scheduled path the facade workloads and the
+// server take: ExecOpts hands the body to a worker and waits for it. The
+// Pending carries the request inline, so on top of DB.Run's Get+Put it adds
+// the Pending, its done channel (two) and the request's Work and OnDone
+// closures: 8 allocs/op, at High and at Low.
+func TestExecOptsAllocs(t *testing.T) {
+	db := openTest(t, Config{Workers: 1})
+	db.CreateTable("t")
+	key, val := []byte("key"), []byte("value")
+	body := func(tx *Txn) error {
+		if _, err := tx.Get("t", key); err != nil && !IsNotFound(err) {
+			return err
+		}
+		return tx.Put("t", key, val)
+	}
+	for _, prio := range []Priority{High, Low} {
+		opts := TxnOptions{Priority: prio}
+		exec := func() {
+			if err := db.ExecOpts(opts, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			exec() // warm the pools, the version chain and the WAL batch buffer
+		}
+		if avg := testing.AllocsPerRun(256, exec); avg > 8 {
+			t.Fatalf("priority %d: ExecOpts(Get+Put) allocates %.1f allocs/op, want <= 8", prio, avg)
+		}
+	}
+}

@@ -90,43 +90,27 @@ func TestScanDescThroughAPI(t *testing.T) {
 	}
 }
 
-func TestExecTimedReportsLatency(t *testing.T) {
+// TestPendingTiming: after Wait, Pending.Timing holds the worker-stamped
+// latencies of a request at either priority.
+func TestPendingTiming(t *testing.T) {
 	db := openTest(t, Config{Workers: 1, Policy: PolicyPreempt})
 	db.CreateTable("t")
-	timing, err := db.ExecTimed(High, func(tx *Txn) error {
-		return tx.Insert("t", []byte("k"), []byte("v"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if timing.Total <= 0 || timing.Scheduling < 0 || timing.Scheduling > timing.Total {
-		t.Fatalf("timing = %+v", timing)
-	}
-	if timing.Total > 10*time.Second {
-		t.Fatalf("implausible total %v", timing.Total)
-	}
-}
-
-func TestSubmitTimedCallback(t *testing.T) {
-	db := openTest(t, Config{Workers: 1})
-	db.CreateTable("t")
-	ch := make(chan Timing, 1)
-	err := db.SubmitTimed(Low, func(tx *Txn) error { return nil },
-		func(tm Timing, err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			ch <- tm
+	for _, prio := range []Priority{High, Low} {
+		p, err := db.SubmitOpts(TxnOptions{Priority: prio}, func(tx *Txn) error {
+			return tx.Put("t", []byte("k"), []byte("v"))
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case tm := <-ch:
-		if tm.Total <= 0 {
-			t.Fatalf("timing %+v", tm)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("callback never fired")
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		tm := p.Timing()
+		if tm.Total <= 0 || tm.Scheduling < 0 || tm.Scheduling > tm.Total {
+			t.Fatalf("priority %d: timing = %+v", prio, tm)
+		}
+		if tm.Total > 10*time.Second {
+			t.Fatalf("priority %d: implausible total %v", prio, tm.Total)
+		}
 	}
 }

@@ -1,49 +1,131 @@
-// Command htap demonstrates the paper's headline scenario on the public
-// API: long, low-priority analytical reports share workers with short,
-// high-priority sales transactions. The report is a plain full-table scan,
-// preemptible at every row. It runs the same mixed workload under
-// PolicyWait and PolicyPreempt and prints the high-priority latency
-// distribution of each, reproducing the shape of the paper's Figure 1.
+// Command htap reproduces the shape of three of the paper's figures on the
+// public API. Long low-priority full-table scans (analytical reports) keep
+// one worker busy while short high-priority orders arrive. Each table runs
+// the same load under several scheduling variants and prints the orders'
+// in-database latency (Pending.Timing: worker-stamped, submission to
+// completion, the paper's metric) next to the scans' throughput:
+//
+//   - Figure 1: an order waits for the running scan, or preempts it;
+//   - Figure 11: a cooperative yield interval must be tuned per workload,
+//     while preemption needs no knob;
+//   - Figure 12: under an order flood, the starvation threshold trades order
+//     throughput and latency for scan progress.
 package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log"
-	"sort"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"preemptdb"
 )
 
-const (
-	rows      = 60000
-	reportLen = 10 // analytical report = reportLen full scans
-	orders    = 200
-)
+const rows = 40000
 
 func key(i uint64) []byte { return binary.BigEndian.AppendUint64(nil, i) }
 
-func runPolicy(policy preemptdb.Policy) (lat []time.Duration, scanned, restocks uint64) {
-	db, err := preemptdb.Open("", preemptdb.Config{
-		Workers: 4,
-		Policy:  policy,
-		// Background vacuum keeps the repeatedly-updated sales/inventory
-		// version chains short for the duration of the mix.
-		VacuumInterval: 10 * time.Millisecond,
-	})
+// figure is one table: each variant opens a fresh one-worker database and
+// runs the same load. Every interval for window, batch orders are submitted;
+// a batch stops at the first order the full queues refuse (it is shed).
+type figure struct {
+	title    string
+	variants []variant
+	batch    int
+	interval time.Duration
+	window   time.Duration
+	order    func(i uint64) func(tx *preemptdb.Txn) error
+	moral    string
+}
+
+type variant struct {
+	label string
+	cfg   preemptdb.Config
+}
+
+// pointOrder reads one item and records the sale: a short transaction.
+func pointOrder(i uint64) func(tx *preemptdb.Txn) error {
+	return func(tx *preemptdb.Txn) error {
+		item := key(i % rows)
+		if _, err := tx.Get("data", item); err != nil {
+			return err
+		}
+		return tx.Put("sales", key(i), item)
+	}
+}
+
+// rangeOrder reads 2000 records, so the accepted orders alone can occupy the
+// worker.
+func rangeOrder(uint64) func(tx *preemptdb.Txn) error {
+	return func(tx *preemptdb.Txn) error {
+		n := 0
+		return tx.Scan("data", nil, nil, func(k, v []byte) bool {
+			n++
+			return n < 2000
+		})
+	}
+}
+
+func policy(label string, p preemptdb.Policy, yieldInterval uint64) variant {
+	return variant{label, preemptdb.Config{Workers: 1, Policy: p, YieldInterval: yieldInterval}}
+}
+
+func threshold(label string, thr float64) variant {
+	return variant{label, preemptdb.Config{Workers: 1, Policy: preemptdb.PolicyPreempt,
+		HiQueueSize: 64, StarvationThreshold: thr}}
+}
+
+var figures = []figure{{
+	title: "Figure 1: an order waits for the running scan, or preempts it",
+	variants: []variant{
+		policy("Wait", preemptdb.PolicyWait, 0),
+		policy("PreemptDB", preemptdb.PolicyPreempt, 0),
+	},
+	batch: 1, interval: 2 * time.Millisecond, window: 500 * time.Millisecond, order: pointOrder,
+	moral: "Orders wait for whole scans under Wait; PreemptDB serves them in microseconds.",
+}, {
+	title: "Figure 11: cooperative yield intervals vs preemption",
+	variants: []variant{
+		policy("Cooperative/100", preemptdb.PolicyCooperative, 100),
+		policy("Cooperative/10000", preemptdb.PolicyCooperative, 10000),
+		policy("Cooperative/1000000", preemptdb.PolicyCooperative, 1000000),
+		policy("PreemptDB", preemptdb.PolicyPreempt, 0),
+	},
+	batch: 1, interval: time.Millisecond, window: 300 * time.Millisecond, order: pointOrder,
+	moral: "Coarse yields delay orders; PreemptDB matches the finest interval with no knob to tune.",
+}, {
+	title: "Figure 12: starvation threshold under an order flood (64 orders per ms)",
+	variants: []variant{
+		threshold("0.00", 0.000001),
+		threshold("0.25", 0.25),
+		threshold("0.50", 0.5),
+		threshold("0.75", 0.75),
+		threshold("off", 100),
+	},
+	batch: 64, interval: time.Millisecond, window: time.Second, order: rangeOrder,
+	moral: "Low thresholds keep the scans flowing and throttle the flood; with prevention off, orders take the worker.",
+}}
+
+type result struct {
+	p50, p99        time.Duration
+	shed            int
+	ordersS, scansS float64
+}
+
+func run(f figure, v variant) result {
+	db, err := preemptdb.Open("", v.cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-
+	db.CreateTable("data")
 	db.CreateTable("sales")
-	db.CreateTable("inventory")
 	if err := db.Run(func(tx *preemptdb.Txn) error {
-		val := make([]byte, 64)
+		val := make([]byte, 32)
 		for i := uint64(0); i < rows; i++ {
-			if err := tx.Insert("inventory", key(i), val); err != nil {
+			if err := tx.Insert("data", key(i), val); err != nil {
 				return err
 			}
 		}
@@ -52,110 +134,88 @@ func runPolicy(policy preemptdb.Policy) (lat []time.Duration, scanned, restocks 
 		log.Fatal(err)
 	}
 
-	// Keep an analytical report running at low priority for the whole
-	// experiment: it scans the full inventory repeatedly (think: operational
-	// reporting over fresh data). The report is self-perpetuating — its
-	// completion callback (which runs on the worker) submits the next one —
-	// so the worker is never idle waiting on a client goroutine.
-	stop := make(chan struct{})
-	reportDone := make(chan struct{})
-	var rowsScanned atomic.Uint64
-	report := func(tx *preemptdb.Txn) error {
-		for r := 0; r < reportLen; r++ {
-			// The counter is read by the main goroutine, hence atomic.
-			if err := tx.Scan("inventory", nil, nil, func(k, v []byte) bool {
-				rowsScanned.Add(1)
-				return true
-			}); err != nil {
-				return err
+	stop, scans := make(chan struct{}), make(chan int)
+	go scan(db, stop, scans)
+	time.Sleep(10 * time.Millisecond) // let the first scan occupy the worker
+
+	var orders []*preemptdb.Pending
+	var r result
+	tick := time.NewTicker(f.interval)
+	defer tick.Stop()
+	start := time.Now()
+	for i := uint64(0); time.Since(start) < f.window; <-tick.C {
+		for b := 0; b < f.batch; b, i = b+1, i+1 {
+			p, err := db.SubmitOpts(preemptdb.TxnOptions{Priority: preemptdb.High}, f.order(i))
+			if errors.Is(err, preemptdb.ErrQueueFull) {
+				r.shed += f.batch - b
+				break
+			} else if err != nil {
+				log.Fatal(err)
 			}
-		}
-		return nil
-	}
-	var resubmit func(error)
-	resubmit = func(error) {
-		select {
-		case <-stop:
-			close(reportDone)
-		default:
-			db.Submit(preemptdb.Low, report, resubmit)
+			orders = append(orders, p)
 		}
 	}
-	db.Submit(preemptdb.Low, report, resubmit)
-
-	// A restocking writer updates inventory rows the orders read: its
-	// write-write conflicts with other updates are absorbed by ExecRetry's
-	// bounded exponential backoff instead of surfacing to the operator.
-	restockDone := make(chan struct{})
-	go func() {
-		defer close(restockDone)
-		val := make([]byte, 64)
-		for i := uint64(0); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := db.ExecRetry(preemptdb.Low, func(tx *preemptdb.Txn) error {
-				return tx.Put("inventory", key(i%rows), val)
-			}); err != nil {
-				log.Fatalf("restock: %v", err)
-			}
-			restocks++
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	time.Sleep(20 * time.Millisecond) // let the report occupy the worker
-
-	// Fire high-priority sales orders at a steady arrival rate and measure
-	// the in-database end-to-end latency (worker-stamped: submission to
-	// completion, the paper's metric).
-	for i := 0; i < orders; i++ {
-		oid := uint64(i)
-		timing, err := db.ExecTimed(preemptdb.High, func(tx *preemptdb.Txn) error {
-			item := key(oid % rows)
-			if _, err := tx.Get("inventory", item); err != nil {
-				return err
-			}
-			return tx.Put("sales", key(oid), item)
-		})
-		if err != nil {
-			log.Fatalf("order %d: %v", i, err)
-		}
-		lat = append(lat, timing.Total)
-		time.Sleep(2 * time.Millisecond)
-	}
+	elapsed := time.Since(start).Seconds()
 	close(stop)
-	<-reportDone
-	<-restockDone
-	return lat, rowsScanned.Load(), restocks
+
+	lat := make([]time.Duration, len(orders))
+	for i, p := range orders {
+		if err := p.Wait(); err != nil {
+			log.Fatalf("%s: order: %v", v.label, err)
+		}
+		lat[i] = p.Timing().Total
+	}
+	slices.Sort(lat)
+	if len(lat) > 0 {
+		r.p50, r.p99 = lat[len(lat)/2], lat[len(lat)*99/100]
+	}
+	r.ordersS = float64(len(orders)) / elapsed
+	r.scansS = float64(<-scans) / elapsed
+	return r
 }
 
-func percentile(lat []time.Duration, p float64) time.Duration {
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+// scan keeps the worker busy with low-priority full-table scans until stop
+// closes, then sends how many completed. One scan always waits queued behind
+// the running one, so the worker never idles while this goroutine resubmits.
+func scan(db *preemptdb.DB, stop <-chan struct{}, done chan<- int) {
+	body := func(tx *preemptdb.Txn) error {
+		return tx.Scan("data", nil, nil, func(k, v []byte) bool { return true })
 	}
-	return sorted[idx]
+	submit := func() *preemptdb.Pending {
+		p, err := db.SubmitOpts(preemptdb.TxnOptions{Priority: preemptdb.Low}, body)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return p
+	}
+	running, queued := submit(), submit()
+	for n := 0; ; n++ {
+		if err := running.Wait(); err != nil {
+			log.Fatal(err)
+		}
+		select {
+		case <-stop:
+			queued.Wait()
+			done <- n + 1
+			return
+		default:
+		}
+		running, queued = queued, submit()
+	}
 }
 
 func main() {
-	fmt.Println("HTAP mix: low-priority full-table reports + restocking writer + high-priority orders")
-	fmt.Printf("%-10s %10s %10s %10s %14s %10s\n", "policy", "p50", "p90", "p99", "report rows/s", "restocks")
-	for _, policy := range []preemptdb.Policy{preemptdb.PolicyWait, preemptdb.PolicyPreempt} {
-		start := time.Now()
-		lat, scanned, restocks := runPolicy(policy)
-		elapsed := time.Since(start).Seconds()
-		fmt.Printf("%-10s %10v %10v %10v %14.0f %10d\n", policy,
-			percentile(lat, 50).Round(time.Microsecond),
-			percentile(lat, 90).Round(time.Microsecond),
-			percentile(lat, 99).Round(time.Microsecond),
-			float64(scanned)/elapsed, restocks)
+	for i, f := range figures {
+		if i > 0 {
+			fmt.Println()
+		}
+		fmt.Println(f.title)
+		fmt.Printf("%-20s %10s %10s %10s %8s %10s\n", "variant", "order p50", "order p99", "orders/s", "shed", "scans/s")
+		for _, v := range f.variants {
+			r := run(f, v)
+			fmt.Printf("%-20s %10v %10v %10.0f %8d %10.1f\n", v.label,
+				r.p50.Round(time.Microsecond), r.p99.Round(time.Microsecond), r.ordersS, r.shed, r.scansS)
+		}
+		fmt.Println(f.moral)
 	}
-	fmt.Println("\nPreemptDB serves orders in microseconds-to-milliseconds while the")
-	fmt.Println("report keeps (almost) the same scan throughput — wait-based")
-	fmt.Println("scheduling makes orders queue behind entire reports.")
 }

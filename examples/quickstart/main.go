@@ -50,7 +50,7 @@ func main() {
 
 	// A high-priority transfer: runs through the scheduler and, under
 	// PolicyPreempt, would interrupt any long-running low-priority work.
-	err = db.Exec(preemptdb.High, func(tx *preemptdb.Txn) error {
+	err = db.ExecOpts(preemptdb.TxnOptions{Priority: preemptdb.High}, func(tx *preemptdb.Txn) error {
 		from, err := tx.Get("accounts", account(1))
 		if err != nil {
 			return err
@@ -74,7 +74,7 @@ func main() {
 	}
 
 	// A low-priority report: scan everything in key order.
-	err = db.Exec(preemptdb.Low, func(tx *preemptdb.Txn) error {
+	err = db.ExecOpts(preemptdb.TxnOptions{Priority: preemptdb.Low}, func(tx *preemptdb.Txn) error {
 		fmt.Println("account balances:")
 		return tx.Scan("accounts", nil, nil, func(k, v []byte) bool {
 			fmt.Printf("  #%d %-6s %d\n",

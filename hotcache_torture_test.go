@@ -114,7 +114,7 @@ func cacheTorture(t *testing.T, shards int) {
 						return
 					}
 				default:
-					if err := db.Exec(Low, inc(k)); err == nil {
+					if err := db.ExecOpts(TxnOptions{Priority: Low}, inc(k)); err == nil {
 						committed[ki].Add(1)
 					} else if !tolerable(err) {
 						t.Errorf("writer: %v", err)
@@ -137,7 +137,7 @@ func cacheTorture(t *testing.T, shards int) {
 				if string(from) == string(to) {
 					continue
 				}
-				err := db.Exec(Low, func(tx *Txn) error {
+				err := db.ExecOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 					fv, err := tx.Get("kv", from)
 					if err != nil {
 						return err

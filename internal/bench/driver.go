@@ -192,7 +192,12 @@ const (
 	kindPayment
 )
 
+// done records a finished request. Requests that Stop drained never ran, so
+// they stay out of the latency histograms.
 func (c *collector) done(kind txKind, r *sched.Request) {
+	if errors.Is(r.Err, sched.ErrStopped) {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch kind {

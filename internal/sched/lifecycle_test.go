@@ -228,3 +228,43 @@ func TestStaleCancelDoesNotPoisonNextRequest(t *testing.T) {
 		t.Fatalf("stale cancel poisoned the next request: %v", r.Err)
 	}
 }
+
+// TestStopCompletesQueuedRequests: Stop lets the running request finish, then
+// completes every request still queued, at either priority, with ErrStopped
+// exactly once; a submission after Stop is refused.
+func TestStopCompletesQueuedRequests(t *testing.T) {
+	s := New(Config{Workers: 1, LoQueueSize: 4})
+	s.Start()
+	release := blockWorker(t, s)
+
+	done := make(chan *Request, 4)
+	work := func(ctx *pcontext.Context) error {
+		t.Error("a request queued at Stop ran")
+		return nil
+	}
+	lo := &Request{Work: work, OnDone: func(r *Request) { done <- r }}
+	hi := &Request{Work: work, OnDone: func(r *Request) { done <- r }}
+	if !s.SubmitLow(0, lo) || s.SubmitHighBatch([]*Request{hi}) != 1 {
+		t.Fatal("requests not accepted")
+	}
+	stopped := make(chan struct{})
+	go func() { s.Stop(); close(stopped) }()
+	// Release the blocker only once the core is shutting down, so the worker
+	// exits instead of taking a queued request.
+	for !s.Workers()[0].Core().Done() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	release()
+	for range 2 {
+		if r := waitDone(t, done); r.Err != ErrStopped {
+			t.Fatalf("queued request completed with %v, want ErrStopped", r.Err)
+		}
+	}
+	<-stopped
+	if len(done) != 0 {
+		t.Fatal("a queued request completed twice")
+	}
+	if s.SubmitLow(0, &Request{Work: work}) || s.SubmitHighBatch([]*Request{{Work: work}}) != 0 {
+		t.Fatal("a submission after Stop was accepted")
+	}
+}

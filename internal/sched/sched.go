@@ -28,6 +28,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -64,6 +65,10 @@ func (p Policy) String() string {
 		return fmt.Sprintf("Policy(%d)", uint8(p))
 	}
 }
+
+// ErrStopped completes every request still queued when Stop runs, and every
+// request pushed after it began. The public API re-exports it as ErrClosed.
+var ErrStopped = errors.New("preemptdb: database closed")
 
 // Request is one transaction request flowing through the scheduler. Its
 // lifecycle fields (Deadline, Cancel) form the descriptor the worker arms on
@@ -516,7 +521,8 @@ func (s *Scheduler) Start() {
 }
 
 // Stop shuts every worker down and waits for their contexts to exit.
-// Requests still queued are dropped.
+// Running transactions finish; requests still queued then complete with
+// ErrStopped, each exactly once.
 func (s *Scheduler) Stop() {
 	s.stopping.Store(true)
 	for _, w := range s.workers {
@@ -528,6 +534,25 @@ func (s *Scheduler) Stop() {
 	}
 	for _, w := range s.workers {
 		w.core.Shutdown()
+		w.drain()
+	}
+}
+
+// drain completes every request in w's queues with ErrStopped. Stop calls it
+// once the core is down, and so does every submitter whose push lands after
+// stopping is set: the submitter pushes before it loads stopping and Stop
+// stores stopping before it drains, so either Stop's drain sees the push or
+// the submitter drains it. Pop hands each request to one caller only.
+func (w *Worker) drain() {
+	for _, q := range []*queue.MPMC[*Request]{w.hiQ, w.loQ} {
+		for req, ok := q.Pop(); ok; req, ok = q.Pop() {
+			req.Err = ErrStopped
+			req.StartedAt = clock.Nanos()
+			req.FinishedAt = req.StartedAt
+			if req.OnDone != nil {
+				req.OnDone(req)
+			}
+		}
 	}
 }
 
@@ -851,18 +876,28 @@ func (w *Worker) execute(ctx *pcontext.Context, req *Request) {
 
 // SubmitLow offers a low-priority request to worker wid's queue, stamping
 // EnqueuedAt unless the caller already did. It reports false when the queue
-// is full.
+// is full or Stop has begun.
 func (s *Scheduler) SubmitLow(wid int, req *Request) bool {
 	req.HighPriority = false
 	if req.EnqueuedAt == 0 {
 		req.EnqueuedAt = clock.Nanos()
 	}
 	w := s.workers[wid]
-	if !w.loQ.Push(req) {
+	if s.stopping.Load() || !w.loQ.Push(req) {
 		return false
 	}
-	w.wakeIfParked()
+	s.pushed(w)
 	return true
+}
+
+// pushed follows every successful push: it wakes w if it is parked, or, when
+// Stop has begun meanwhile, drains w so the request still completes.
+func (s *Scheduler) pushed(w *Worker) {
+	if s.stopping.Load() {
+		w.drain()
+		return
+	}
+	w.wakeIfParked()
 }
 
 // SubmitHighBatch implements batched on-demand preemption (§5): requests are
@@ -870,8 +905,11 @@ func (s *Scheduler) SubmitLow(wid int, req *Request) bool {
 // queue as far as possible and sending that worker a single user interrupt
 // (under PolicyPreempt). Workers above the starvation threshold are skipped.
 // It returns the number of requests accepted; the rest should be retried at
-// the next arrival interval.
+// the next arrival interval. Once Stop has begun it accepts none.
 func (s *Scheduler) SubmitHighBatch(reqs []*Request) int {
+	if s.stopping.Load() {
+		return 0
+	}
 	now := clock.Nanos()
 	accepted := 0
 	thr := s.cfg.StarvationThreshold
@@ -908,7 +946,7 @@ func (s *Scheduler) SubmitHighBatch(reqs []*Request) int {
 				uintr.SendUIPI(w.core.Receiver().UPID(), uintr.VecPreempt)
 				s.interruptsSent.Add(1)
 			}
-			w.wakeIfParked()
+			s.pushed(w)
 		}
 	}
 	return accepted

@@ -81,23 +81,19 @@ func (db *DB) traceEvents() ([]pcontext.CoreEvents, error) {
 // transaction's events are only available until ring wrap; export promptly,
 // raise Config.TraceCapacity, or set Config.TraceSampling > 0 for complete
 // commit-path spans.
-func (db *DB) TraceTxn(id uint64) ([]byte, error) {
-	cores, err := db.traceEvents()
-	if err != nil {
-		return nil, err
-	}
-	return pcontext.ChromeTraceTxn(id, cores)
-}
-
-// TraceTxnWait is TraceTxn with a bounded wait for the transaction's
-// terminal event to appear in the rings — the exporter's answer to "the
-// submitter saw the commit but the worker has not recorded txn-end yet".
-// It polls until the export succeeds or timeout elapses.
-func (db *DB) TraceTxnWait(id uint64, timeout time.Duration) ([]byte, error) {
-	deadline := time.Now().Add(timeout)
+//
+// wait > 0 bounds a wait for the transaction's terminal event to reach the
+// rings — the submitter may see the commit before the worker records
+// txn-end — by polling until the export succeeds or wait elapses.
+func (db *DB) TraceTxn(id uint64, wait time.Duration) ([]byte, error) {
+	deadline := time.Now().Add(wait)
 	for {
-		data, err := db.TraceTxn(id)
-		if err == nil || time.Now().After(deadline) {
+		cores, err := db.traceEvents()
+		if err != nil {
+			return nil, err
+		}
+		data, err := pcontext.ChromeTraceTxn(id, cores)
+		if err == nil || !time.Now().Before(deadline) {
 			return data, err
 		}
 		time.Sleep(100 * time.Microsecond)

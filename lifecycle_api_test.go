@@ -29,14 +29,14 @@ func lifecycleDB(t *testing.T, rows int) *DB {
 	return db
 }
 
-// TestExecDeadlineUnwindsMidScan: a deadline set mid-flight cancels a running
+// TestDeadlineUnwindsMidScan: a deadline set mid-flight cancels a running
 // analytical transaction at its next poll; the typed error reaches the caller,
 // the per-reason counter ticks, and the database keeps serving.
-func TestExecDeadlineUnwindsMidScan(t *testing.T) {
+func TestDeadlineUnwindsMidScan(t *testing.T) {
 	db := lifecycleDB(t, 20000)
 
 	scans := 0
-	err := db.ExecDeadline(Low, time.Now().Add(2*time.Millisecond), func(tx *Txn) error {
+	err := db.ExecOpts(TxnOptions{Deadline: time.Now().Add(2 * time.Millisecond)}, func(tx *Txn) error {
 		for {
 			if err := tx.Scan("inv", nil, nil, func(k, v []byte) bool { return true }); err != nil {
 				return err
@@ -45,7 +45,7 @@ func TestExecDeadlineUnwindsMidScan(t *testing.T) {
 		}
 	})
 	if !IsDeadlineExceeded(err) {
-		t.Fatalf("ExecDeadline err = %v", err)
+		t.Fatalf("ExecOpts with a deadline: err = %v", err)
 	}
 	if st := db.Stats(); st.AbortsDeadline < 1 {
 		t.Fatalf("AbortsDeadline = %d", st.AbortsDeadline)
@@ -108,11 +108,11 @@ func TestQueuedRequestShedAtDispatch(t *testing.T) {
 
 	started := make(chan struct{})
 	gate := make(chan struct{})
-	if err := db.Submit(Low, func(tx *Txn) error {
+	if _, err := db.SubmitOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 		close(started)
 		<-gate
 		return nil
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -173,23 +173,6 @@ func TestAdmissionShedIsAlsoDeadlineExceeded(t *testing.T) {
 	}
 	if st := db.Stats(); st.AbortsDeadline != 0 || st.AbortsQueueFull != 1 {
 		t.Fatalf("AbortsDeadline = %d, AbortsQueueFull = %d; the shed counts once, as queue-full", st.AbortsDeadline, st.AbortsQueueFull)
-	}
-}
-
-// TestExecRetryDoesNotRetryNonRetryable: transaction-body errors and
-// cancellations pass straight through.
-func TestExecRetryDoesNotRetryNonRetryable(t *testing.T) {
-	db := openTest(t, Config{Workers: 1})
-	boom := errors.New("boom")
-	attempts := 0
-	if err := db.ExecRetry(Low, func(tx *Txn) error { attempts++; return boom }); !errors.Is(err, boom) {
-		t.Fatalf("ExecRetry = %v", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("non-retryable error retried %d times", attempts)
-	}
-	if err := db.ExecRetry(High, func(tx *Txn) error { return nil }); err != nil {
-		t.Fatalf("ExecRetry success path = %v", err)
 	}
 }
 

@@ -23,7 +23,7 @@ func metricsWorkload(t *testing.T, db *DB) {
 			p = High
 		}
 		key := []byte(fmt.Sprintf("k%d", i))
-		if err := db.Exec(p, func(tx *Txn) error {
+		if err := db.ExecOpts(TxnOptions{Priority: p}, func(tx *Txn) error {
 			return tx.Put("kv", key, []byte("v"))
 		}); err != nil {
 			t.Fatal(err)

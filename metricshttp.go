@@ -38,9 +38,6 @@ func (db *DB) ShardMetrics(si int) metrics.RegistrySnapshot {
 	return db.shards[si].reg.Snapshot()
 }
 
-// NumShards reports the configured shard count.
-func (db *DB) NumShards() int { return len(db.shards) }
-
 // TraceSnapshot renders the per-core scheduling-event rings as a Chrome
 // trace-event JSON document (loadable in ui.perfetto.dev or
 // chrome://tracing). Safe to call while the database runs; events
@@ -99,7 +96,7 @@ func (db *DB) startMetricsServer(addr string) error {
 			http.Error(w, "trace/txn: bad or missing id parameter", http.StatusBadRequest)
 			return
 		}
-		data, err := db.TraceTxn(id)
+		data, err := db.TraceTxn(id, 0)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return

@@ -58,7 +58,7 @@ func TestTraceTxnCrossShard(t *testing.T) {
 		t.Fatal("Pending.TraceID returned 0")
 	}
 
-	data, err := db.TraceTxnWait(id, time.Second)
+	data, err := db.TraceTxn(id, time.Second)
 	if err != nil {
 		t.Fatalf("TraceTxn: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestClientSuppliedTraceID(t *testing.T) {
 	if got := pending.TraceID(); got != want {
 		t.Fatalf("TraceID = %d, want %d", got, want)
 	}
-	data, err := db.TraceTxnWait(want, time.Second)
+	data, err := db.TraceTxn(want, time.Second)
 	if err != nil {
 		t.Fatalf("TraceTxn under client id: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestFlightRecorderOnSLOBreach(t *testing.T) {
 	defer db.Close()
 	db.CreateTable("kv")
 
-	if err := db.Exec(High, func(tx *Txn) error {
+	if err := db.ExecOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 		return tx.Put("kv", []byte("k"), []byte("v"))
 	}); err != nil {
 		t.Fatal(err)
@@ -205,9 +205,31 @@ func TestFlightRecorderOnSLOBreach(t *testing.T) {
 		t.Error("DB.Stats reports zero hi breaches")
 	}
 
-	// The bundle must round-trip as JSON (the /debug/flight and on-disk form).
-	if _, err := json.Marshal(rec); err != nil {
+	// The bundle must round-trip as JSON (the /debug/flight and on-disk form),
+	// its counters named as /metrics and the stats frame name them.
+	data, err := json.Marshal(rec)
+	if err != nil {
 		t.Fatalf("bundle does not serialize: %v", err)
+	}
+	var bundle struct {
+		Stats map[string]any `json:"stats"`
+	}
+	if err := json.Unmarshal(data, &bundle); err != nil {
+		t.Fatalf("bundle is not valid JSON: %v", err)
+	}
+	if len(bundle.Stats) != len(statFields) {
+		t.Errorf("bundle stats carry %d counters, want %d", len(bundle.Stats), len(statFields))
+	}
+	for _, f := range statFields {
+		if _, ok := bundle.Stats[f.Tag.Get("stat")]; !ok {
+			t.Errorf("bundle stats lack %q", f.Tag.Get("stat"))
+		}
+		if _, ok := bundle.Stats[f.Name]; ok {
+			t.Errorf("bundle stats name %q by its Go field name", f.Name)
+		}
+	}
+	if got := bundle.Stats["slo_breaches_hi_total"]; got != float64(rec.Stats.SLOBreachesHi) {
+		t.Errorf("bundle slo_breaches_hi_total = %v, want %d", got, rec.Stats.SLOBreachesHi)
 	}
 }
 
@@ -236,7 +258,7 @@ func TestIntrospectionUnderFire(t *testing.T) {
 	// being hammered (matching the torture tests' access discipline).
 	for i := 0; i < 64; i++ {
 		key := []byte(fmt.Sprintf("k%d", i))
-		if err := db.Exec(Low, func(tx *Txn) error {
+		if err := db.ExecOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 			return tx.Put("kv", key, []byte("seed"))
 		}); err != nil {
 			t.Fatal(err)
@@ -296,7 +318,7 @@ func TestIntrospectionUnderFire(t *testing.T) {
 				return
 			default:
 			}
-			db.Exec(High, func(tx *Txn) error {
+			db.ExecOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 				_, err := tx.Get("kv", []byte("k1"))
 				if IsNotFound(err) {
 					return nil
@@ -340,7 +362,7 @@ func TestIntrospectionUnderFire(t *testing.T) {
 				}
 				db.Metrics()
 				db.TraceSnapshot()
-				db.TraceTxn(uint64(samples.Add(1))) // mostly misses; must never tear
+				db.TraceTxn(uint64(samples.Add(1)), 0) // mostly misses; must never tear
 			}
 		}()
 	}

@@ -253,7 +253,7 @@ func TestDBReadOnlyAfterWALFailure(t *testing.T) {
 	}
 
 	sink.FailSync(2, nil) // next batch's sync fails and latches the log
-	err = db.Exec(High, func(tx *Txn) error {
+	err = db.ExecOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 		return tx.Put("kv", []byte("b"), []byte("2"))
 	})
 	if !IsWALFailed(err) {
@@ -265,7 +265,7 @@ func TestDBReadOnlyAfterWALFailure(t *testing.T) {
 
 	// Reads keep working; later writes are refused with the typed error.
 	wantKV(t, db, "a", "1")
-	err = db.Exec(Low, func(tx *Txn) error {
+	err = db.ExecOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 		return tx.Put("kv", []byte("c"), []byte("3"))
 	})
 	if !IsWALFailed(err) {

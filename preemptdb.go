@@ -20,9 +20,8 @@
 //	db.Run(func(tx *preemptdb.Txn) error {
 //	    return tx.Insert("kv", []byte("k"), []byte("v"))
 //	})
-//	err := db.Exec(preemptdb.High, func(tx *preemptdb.Txn) error {
-//	    v, err := tx.Get("kv", []byte("k"))
-//	    _ = v
+//	err := db.ExecOpts(preemptdb.TxnOptions{Priority: preemptdb.High}, func(tx *preemptdb.Txn) error {
+//	    _, err := tx.Get("kv", []byte("k"))
 //	    return err
 //	})
 package preemptdb
@@ -211,8 +210,9 @@ type Config struct {
 	CacheBytes int64
 }
 
-// ErrClosed reports use of a closed DB.
-var ErrClosed = errors.New("preemptdb: database closed")
+// ErrClosed reports use of a closed DB, and completes every request Close
+// found still queued.
+var ErrClosed = sched.ErrStopped
 
 // ErrQueueFull reports that a request was rejected up front: every
 // scheduling queue was full, or its deadline cannot be met given the observed
@@ -247,8 +247,8 @@ var ErrDeadlineExceeded = pcontext.ErrDeadlineExceeded
 var ErrWALFailed = wal.ErrWALFailed
 
 // IsConflict reports whether err was a concurrency conflict (these are
-// retried automatically up to maxRetries times; seeing one from Exec means
-// the budget was exhausted).
+// retried automatically up to maxRetries times; seeing one from Run or
+// ExecOpts means the budget was exhausted).
 func IsConflict(err error) bool {
 	return engine.IsConflict(err) || errors.Is(err, ErrConflict)
 }
@@ -299,7 +299,8 @@ type DB struct {
 	cfg    Config
 	shards []*shard
 	adm    *admission.Controller
-	closed bool
+	// closed is claimed once, by Close; SubmitOpts reads it concurrently.
+	closed atomic.Bool
 	// rrShard round-robins transactions without a routing key across shards.
 	rrShard atomic.Uint32
 	// gidBase/gidCtr generate globally-unique 2PC transaction ids: a random
@@ -479,12 +480,12 @@ func assembleDB(cfg Config, shs []*shard) (*DB, error) {
 
 // Close stops the workers, releases their engine resources (oracle slots,
 // CLS buffers), stops the background vacuum, and flushes the logs. In-flight
-// transactions finish; queued but unstarted requests are dropped.
+// transactions finish; every request still queued, or submitted while Close
+// runs, completes with ErrClosed. A second Close returns ErrClosed.
 func (db *DB) Close() error {
-	if db.closed {
+	if !db.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	db.closed = true
 	db.stopMetricsServer()
 	db.stopFlightRecorder()
 	var err error
@@ -547,7 +548,7 @@ func (db *DB) Run(fn func(tx *Txn) error) error {
 	return db.runOn(ctx, fn)
 }
 
-// maxRetries bounds automatic conflict retries in Run/Exec/Submit.
+// maxRetries bounds automatic conflict retries in Run and SubmitOpts.
 const maxRetries = 100
 
 func (db *DB) runOn(ctx *pcontext.Context, fn func(tx *Txn) error) error {
@@ -594,7 +595,7 @@ type TxnOptions struct {
 	// worthless (zero = none). An expired request is shed at admission or
 	// dispatch, and canceled mid-flight at the first poll past the deadline;
 	// either way the submitter sees ErrDeadlineExceeded (a shed at admission
-	// returns it from Submit itself, wrapped together with ErrQueueFull).
+	// returns it from SubmitOpts itself, wrapped together with ErrQueueFull).
 	Deadline time.Time
 	// Timeout is a relative deadline measured from submission (0 = none).
 	// When both are set the earlier instant wins.
@@ -637,7 +638,7 @@ func (o TxnOptions) deadlineNanos() int64 {
 
 // Pending is a handle to a submitted-but-unfinished request.
 type Pending struct {
-	req *sched.Request
+	req sched.Request
 	ch  chan error
 }
 
@@ -658,6 +659,25 @@ func (p *Pending) Done() <-chan error { return p.ch }
 // the handle for DB.TraceTxn after (or while) the transaction runs. It is
 // assigned at submission, so it is valid immediately.
 func (p *Pending) TraceID() uint64 { return p.req.TraceID }
+
+// Timing reports a transaction's worker-stamped latencies: Scheduling is
+// submission → first execution, Total is submission → completion. These are
+// the in-database latencies the paper measures; they exclude the time the
+// *submitting goroutine* waits to be rescheduled by the Go runtime, which on
+// an oversubscribed host can dwarf the database's own latency.
+type Timing struct {
+	Scheduling time.Duration
+	Total      time.Duration
+}
+
+// Timing returns the request's worker-stamped latencies. It is valid once
+// Wait has returned or Done has delivered the outcome.
+func (p *Pending) Timing() Timing {
+	return Timing{
+		Scheduling: time.Duration(p.req.SchedulingLatency()),
+		Total:      time.Duration(p.req.Latency()),
+	}
+}
 
 // classify buckets a finished request's error into the shard's per-reason
 // abort counters surfaced by Stats. Cross-shard transactions count once, on
@@ -691,90 +711,60 @@ func (db *DB) routeShard(route []byte) *shard {
 	return db.shards[int(db.rrShard.Add(1))%len(db.shards)]
 }
 
-// submit is the single scheduling entry point every public Submit/Exec
-// variant funnels through: admission, shard routing, lifecycle wiring,
-// dispatch, and per-reason accounting in one place.
-func (db *DB) submit(p Priority, deadline int64, route []byte, traceID uint64, fn func(tx *Txn) error, onDone func(*sched.Request)) (*sched.Request, error) {
-	if db.closed {
+// SubmitOpts schedules fn as a transaction with per-request lifecycle
+// options and returns a Pending handle for waiting on — or canceling — the
+// request. It is the one scheduling entry point: admission, shard routing,
+// lifecycle wiring, dispatch, and per-reason accounting happen here.
+// High-priority submissions trigger a user interrupt under PolicyPreempt. It
+// fails with ErrQueueFull when every worker's queue is full, and with
+// ErrClosed once Close has begun.
+func (db *DB) SubmitOpts(opts TxnOptions, fn func(tx *Txn) error) (*Pending, error) {
+	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	sh := db.routeShard(route)
+	sh := db.routeShard(opts.RouteKey)
+	deadline := opts.deadlineNanos()
 	if !db.adm.AdmitDeadline(deadline) {
 		sh.aborts.Inc(metrics.AbortQueueFull)
 		return nil, errDeadlineShed
 	}
-	if traceID == 0 {
-		traceID = db.traceIDs.Add(1)
+	p := &Pending{ch: make(chan error, 1)}
+	p.req.Deadline = deadline
+	p.req.TraceID = opts.TraceID
+	if p.req.TraceID == 0 {
+		p.req.TraceID = db.traceIDs.Add(1)
 	}
-	req := &sched.Request{
-		Deadline: deadline,
-		TraceID:  traceID,
-		Work: func(ctx *pcontext.Context) error {
-			return db.runOn(ctx, fn)
-		},
+	p.req.Work = func(ctx *pcontext.Context) error {
+		return db.runOn(ctx, fn)
 	}
-	req.OnDone = func(r *sched.Request) {
+	p.req.OnDone = func(r *sched.Request) {
 		db.adm.ObserveQueueDelay(r.SchedulingLatency())
 		db.adm.Release()
 		sh.classify(r.Err)
-		if onDone != nil {
-			onDone(r)
-		}
+		p.ch <- r.Err
 	}
 	ok := false
-	if p == High {
-		ok = sh.sch.SubmitHighBatch([]*sched.Request{req}) == 1
+	if opts.Priority == High {
+		ok = sh.sch.SubmitHighBatch([]*sched.Request{&p.req}) == 1
 	} else {
 		for i := 0; i < db.cfg.Workers && !ok; i++ {
 			wid := int(sh.rrLow.Add(1)) % db.cfg.Workers
-			ok = sh.sch.SubmitLow(wid, req)
+			ok = sh.sch.SubmitLow(wid, &p.req)
 		}
 	}
 	if !ok {
 		db.adm.Release()
+		if db.closed.Load() {
+			return nil, ErrClosed
+		}
 		sh.aborts.Inc(metrics.AbortQueueFull)
 		return nil, ErrQueueFull
 	}
-	return req, nil
+	return p, nil
 }
 
-// Submit schedules fn as a transaction with the given priority and returns
-// immediately; done (optional) receives the outcome on a worker goroutine.
-// High-priority submissions trigger a user interrupt under PolicyPreempt.
-// It fails with ErrQueueFull when every worker's queue is full.
-func (db *DB) Submit(p Priority, fn func(tx *Txn) error, done func(error)) error {
-	var onDone func(*sched.Request)
-	if done != nil {
-		onDone = func(r *sched.Request) { done(r.Err) }
-	}
-	_, err := db.submit(p, 0, nil, 0, fn, onDone)
-	return err
-}
-
-// SubmitOpts schedules fn with per-request lifecycle options and returns a
-// Pending handle for waiting on — or canceling — the request.
-func (db *DB) SubmitOpts(opts TxnOptions, fn func(tx *Txn) error) (*Pending, error) {
-	ch := make(chan error, 1)
-	req, err := db.submit(opts.Priority, opts.deadlineNanos(), opts.RouteKey, opts.TraceID, fn, func(r *sched.Request) {
-		ch <- r.Err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Pending{req: req, ch: ch}, nil
-}
-
-// Exec schedules fn like Submit and waits for it to finish, returning the
-// transaction's outcome.
-func (db *DB) Exec(p Priority, fn func(tx *Txn) error) error {
-	ch := make(chan error, 1)
-	if err := db.Submit(p, fn, func(err error) { ch <- err }); err != nil {
-		return err
-	}
-	return <-ch
-}
-
-// ExecOpts is Exec with per-request lifecycle options.
+// ExecOpts is SubmitOpts followed by Pending.Wait: it schedules fn and
+// returns the transaction's outcome.
 func (db *DB) ExecOpts(opts TxnOptions, fn func(tx *Txn) error) error {
 	pending, err := db.SubmitOpts(opts, fn)
 	if err != nil {
@@ -783,35 +773,8 @@ func (db *DB) ExecOpts(opts TxnOptions, fn func(tx *Txn) error) error {
 	return pending.Wait()
 }
 
-// ExecDeadline schedules fn with an absolute deadline and waits for the
-// outcome. A request whose deadline passes before it runs is shed (at
-// admission or dispatch) without executing; one already running is canceled
-// at its next poll and unwinds with ErrDeadlineExceeded, releasing its
-// pooled transaction, oracle slot, and log buffer.
-func (db *DB) ExecDeadline(p Priority, deadline time.Time, fn func(tx *Txn) error) error {
-	return db.ExecOpts(TxnOptions{Priority: p, Deadline: deadline}, fn)
-}
-
-// ExecRetry is Exec wrapped in a bounded retry loop for transient rejection:
-// conflict-budget exhaustion and full queues back off exponentially (with
-// jitter, capped at ~1ms) before retrying on the submitting goroutine. All
-// other outcomes — including deadline and cancellation — return immediately.
-func (db *DB) ExecRetry(p Priority, fn func(tx *Txn) error) error {
-	const maxAttempts = 16
-	var bo backoff
-	var err error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		err = db.Exec(p, fn)
-		if err == nil || !(IsConflict(err) || errors.Is(err, ErrQueueFull)) {
-			return err
-		}
-		bo.wait()
-	}
-	return err
-}
-
-// backoff is the full-jitter exponential back-off of both retry loops
-// (ExecRetry and Run's conflict retries). The zero value starts at 20µs.
+// backoff is the full-jitter exponential back-off of Run's conflict retries.
+// The zero value starts at 20µs.
 type backoff time.Duration
 
 // wait sleeps a uniform fraction of the current step, so retrying callers
@@ -825,49 +788,6 @@ func (b *backoff) wait() {
 	if *b *= 2; *b > max {
 		*b = max
 	}
-}
-
-// Timing reports a transaction's worker-stamped latencies: Scheduling is
-// submission → first execution, Total is submission → completion. These are
-// the in-database latencies the paper measures; they exclude the time the
-// *submitting goroutine* waits to be rescheduled by the Go runtime, which on
-// an oversubscribed host can dwarf the database's own latency.
-type Timing struct {
-	Scheduling time.Duration
-	Total      time.Duration
-}
-
-// SubmitTimed is Submit with a done callback that also receives the
-// worker-stamped Timing. The callback runs on a worker goroutine.
-func (db *DB) SubmitTimed(p Priority, fn func(tx *Txn) error, done func(Timing, error)) error {
-	var onDone func(*sched.Request)
-	if done != nil {
-		onDone = func(r *sched.Request) {
-			done(Timing{
-				Scheduling: time.Duration(r.SchedulingLatency()),
-				Total:      time.Duration(r.Latency()),
-			}, r.Err)
-		}
-	}
-	_, err := db.submit(p, 0, nil, 0, fn, onDone)
-	return err
-}
-
-// ExecTimed is Exec plus worker-stamped timing.
-func (db *DB) ExecTimed(p Priority, fn func(tx *Txn) error) (Timing, error) {
-	type outcome struct {
-		timing Timing
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	err := db.SubmitTimed(p, fn, func(t Timing, err error) {
-		ch <- outcome{timing: t, err: err}
-	})
-	if err != nil {
-		return Timing{}, err
-	}
-	out := <-ch
-	return out.timing, out.err
 }
 
 // Vacuum trims record version chains no active snapshot can reach on any

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,8 +33,116 @@ func TestOpenCloseTwice(t *testing.T) {
 	if err := db.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := db.Submit(High, func(tx *Txn) error { return nil }, nil); !errors.Is(err, ErrClosed) {
+	if _, err := db.SubmitOpts(TxnOptions{Priority: High}, func(tx *Txn) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
+	}
+}
+
+// TestCloseCompletesQueuedRequests: a request still queued when Close shuts
+// the workers down completes with ErrClosed instead of leaving its Wait
+// blocked forever; the one running at Close finishes normally.
+func TestCloseCompletesQueuedRequests(t *testing.T) {
+	db, err := Open("", Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	running, err := db.SubmitOpts(TxnOptions{}, func(tx *Txn) error {
+		close(started)
+		<-release
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := db.SubmitOpts(TxnOptions{}, func(tx *Txn) error {
+		t.Error("a request queued at Close ran")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	// Close waits for the running body, so release it only once the core is
+	// shutting down: the worker must then exit rather than take the queued one.
+	for !db.shards[0].sch.Workers()[0].Core().Done() {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := running.Wait(); err != nil {
+		t.Fatalf("running request: %v", err)
+	}
+	select {
+	case err := <-queued.Done():
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("queued request completed with %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a request queued at Close never completed")
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseRacesSubmitters: submitters keep going while Close runs. Every request
+// SubmitOpts accepted completes, either normally or with ErrClosed, and every
+// refusal after Close is ErrClosed. Run under -race it also checks that Close
+// and SubmitOpts share the closed flag safely.
+func TestCloseRacesSubmitters(t *testing.T) {
+	db, err := Open("", Config{Workers: 2, Policy: PolicyPreempt, HiQueueSize: 4, LoQueueSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateTable("t")
+	var (
+		mu       sync.Mutex
+		accepted []*Pending
+		n        atomic.Int64
+		wg       sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); ; i++ {
+				key := binary.BigEndian.AppendUint64([]byte{byte(g)}, i)
+				p, err := db.SubmitOpts(TxnOptions{Priority: Priority(i % 2)}, func(tx *Txn) error {
+					return tx.Put("t", key, key)
+				})
+				switch {
+				case errors.Is(err, ErrClosed):
+					return
+				case err != nil:
+					runtime.Gosched() // queues full
+					continue
+				}
+				mu.Lock()
+				accepted = append(accepted, p)
+				mu.Unlock()
+				n.Add(1)
+			}
+		}()
+	}
+	for n.Load() < 200 {
+		runtime.Gosched()
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	watchdog := time.After(5 * time.Second)
+	for _, p := range accepted {
+		select {
+		case err := <-p.Done():
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Fatalf("accepted request completed with %v", err)
+			}
+		case <-watchdog:
+			t.Fatalf("an accepted request never completed (%d accepted)", len(accepted))
+		}
 	}
 }
 
@@ -148,12 +257,12 @@ func TestSecondaryIndexThroughAPI(t *testing.T) {
 func TestExecBothPriorities(t *testing.T) {
 	db := openTest(t, Config{Workers: 1, Policy: PolicyPreempt})
 	db.CreateTable("t")
-	if err := db.Exec(Low, func(tx *Txn) error {
+	if err := db.ExecOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 		return tx.Insert("t", []byte("lo"), []byte("1"))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Exec(High, func(tx *Txn) error {
+	if err := db.ExecOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 		return tx.Insert("t", []byte("hi"), []byte("2"))
 	}); err != nil {
 		t.Fatal(err)
@@ -194,8 +303,8 @@ func TestHighPreemptsLow(t *testing.T) {
 	const scanCap = 1000 // the watchdog: far more scans than a preemption takes
 	var hiDone, lowInFlight atomic.Bool
 	var scans int
-	lowStarted, lowDone := make(chan struct{}), make(chan error, 1)
-	if err := db.Submit(Low, func(tx *Txn) error {
+	lowStarted := make(chan struct{})
+	low, err := db.SubmitOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 		lowInFlight.Store(true)
 		close(lowStarted)
 		for scans = 0; scans < scanCap && !hiDone.Load(); scans++ {
@@ -205,11 +314,12 @@ func TestHighPreemptsLow(t *testing.T) {
 		}
 		lowInFlight.Store(false)
 		return nil
-	}, func(err error) { lowDone <- err }); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	<-lowStarted
-	if err := db.Exec(High, func(tx *Txn) error {
+	if err := db.ExecOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 		_, err := tx.Get("data", binary.BigEndian.AppendUint64(nil, 7))
 		return err
 	}); err != nil {
@@ -217,7 +327,7 @@ func TestHighPreemptsLow(t *testing.T) {
 	}
 	committedDuringLow := lowInFlight.Load()
 	hiDone.Store(true)
-	if err := <-lowDone; err != nil {
+	if err := low.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if !committedDuringLow {
@@ -270,15 +380,17 @@ func TestStatsSampledWhilePreempting(t *testing.T) {
 
 	// One long Low scan keeps the worker's low slot busy; every High request
 	// has to preempt it (a passive switch in, an active switch back).
-	lowDone := make(chan struct{})
-	db.Submit(Low, func(tx *Txn) error {
+	low, err := db.SubmitOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 		for !stop.Load() {
 			tx.Scan("data", nil, nil, func(k, v []byte) bool { return true })
 		}
 		return nil
-	}, func(error) { close(lowDone) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 200; i++ {
-		if err := db.Exec(High, func(tx *Txn) error {
+		if err := db.ExecOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 			_, err := tx.Get("data", binary.BigEndian.AppendUint64(nil, uint64(i)))
 			return err
 		}); err != nil {
@@ -286,7 +398,7 @@ func TestStatsSampledWhilePreempting(t *testing.T) {
 		}
 	}
 	stop.Store(true)
-	<-lowDone
+	low.Wait()
 	if err := <-sampled; err != nil {
 		t.Fatal(err)
 	}
@@ -299,21 +411,20 @@ func TestSubmitAsyncDone(t *testing.T) {
 	db := openTest(t, Config{Workers: 1})
 	db.CreateTable("t")
 	var calls atomic.Int32
-	done := make(chan error, 1)
-	err := db.Submit(High, func(tx *Txn) error {
+	p, err := db.SubmitOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 		calls.Add(1)
 		return tx.Insert("t", []byte("k"), []byte("v"))
-	}, func(err error) { done <- err })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-done:
+	case err := <-p.Done():
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("done callback never fired")
+		t.Fatal("request never completed")
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("work ran %d times", calls.Load())
@@ -325,12 +436,12 @@ func TestQueueFull(t *testing.T) {
 	db.CreateTable("t")
 	block := make(chan struct{})
 	// Occupy the worker.
-	db.Submit(Low, func(tx *Txn) error { <-block; return nil }, nil)
+	db.SubmitOpts(TxnOptions{Priority: Low}, func(tx *Txn) error { <-block; return nil })
 	time.Sleep(2 * time.Millisecond)
 	// Fill the single queue slot.
 	filled := false
 	for i := 0; i < 3; i++ {
-		if err := db.Submit(Low, func(tx *Txn) error { return nil }, nil); err != nil {
+		if _, err := db.SubmitOpts(TxnOptions{Priority: Low}, func(tx *Txn) error { return nil }); err != nil {
 			if !errors.Is(err, ErrQueueFull) {
 				t.Fatalf("err = %v", err)
 			}
@@ -425,7 +536,7 @@ func TestWALRecoveryThroughAPI(t *testing.T) {
 func TestYieldAndNonPreemptibleSafeEverywhere(t *testing.T) {
 	db := openTest(t, Config{Workers: 1, Policy: PolicyCooperativeHandcrafted})
 	db.CreateTable("t")
-	err := db.Exec(Low, func(tx *Txn) error {
+	err := db.ExecOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 		tx.NonPreemptible(func() {
 			// Critical section: preemption masked.
 		})

@@ -229,7 +229,7 @@ func (s *Server) runScript(b []byte, prio uint8, ops []ScriptOp, timeout time.Du
 	if err != nil || traceWait <= 0 {
 		return scriptResults(b, err, results)
 	}
-	trace, terr := s.db.TraceTxnWait(pending.TraceID(), traceWait)
+	trace, terr := s.db.TraceTxn(pending.TraceID(), traceWait)
 	if terr != nil {
 		trace = nil
 	}

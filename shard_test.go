@@ -58,7 +58,7 @@ func TestShardRoutingAndPointOps(t *testing.T) {
 	// Every key readable back through the facade, updated, deleted.
 	for i := 0; i < n; i++ {
 		k := shardKey(t, db, i)
-		if err := db.Exec(High, func(tx *Txn) error {
+		if err := db.ExecOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
 			v, err := tx.Get("kv", k)
 			if err != nil {
 				return err
@@ -303,7 +303,7 @@ func TestCrossShardConcurrentTransfers(t *testing.T) {
 				if bytes.Equal(from, to) {
 					continue
 				}
-				err := db.Exec(Low, func(tx *Txn) error {
+				err := db.ExecOpts(TxnOptions{Priority: Low}, func(tx *Txn) error {
 					fv, err := tx.Get("kv", from)
 					if err != nil {
 						return err
@@ -556,8 +556,8 @@ func TestShardsConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.NumShards() != 1 {
-		t.Fatalf("Shards=0 gave %d shards, want 1", db.NumShards())
+	if len(db.shards) != 1 {
+		t.Fatalf("Shards=0 gave %d shards, want 1", len(db.shards))
 	}
 	db.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 
 	"preemptdb/internal/metrics"
@@ -11,9 +12,10 @@ import (
 
 // Stats is a point-in-time snapshot of the database's counters, and the one
 // table that names them: each field's stat tag is its exposition name and its
-// help tag its description. Stats.add, the Prometheus /metrics endpoint and
-// the wire protocol's stats frame (String) all walk the fields, so a counter
-// added here reaches every surface. Every field is a uint64 counter except
+// help tag its description. Stats.add, the Prometheus /metrics endpoint, the
+// wire protocol's stats frame (String) and the flight bundle's JSON
+// (MarshalJSON) all walk the fields, so a counter added here reaches every
+// surface. Every field is a uint64 counter except
 // WALFailed, a flag that Prometheus sees as a 0/1 gauge.
 type Stats struct {
 	Commits         uint64 `stat:"commits_total" help:"Committed transactions."`
@@ -115,6 +117,21 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b, "%s=%v", f.Tag.Get("stat"), v.Field(i))
 	}
 	return b.String()
+}
+
+// MarshalJSON renders every field as one JSON member named by its stat tag,
+// in table order: a number, or for WALFailed true or false.
+func (st Stats) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	v := reflect.ValueOf(st)
+	for i, f := range statFields {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, f.Tag.Get("stat"))
+		b = fmt.Appendf(b, ":%v", v.Field(i))
+	}
+	return append(b, '}'), nil
 }
 
 // writePrometheus renders every field as one Prometheus family named
