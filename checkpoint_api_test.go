@@ -90,27 +90,47 @@ func TestScanDescThroughAPI(t *testing.T) {
 	}
 }
 
-// TestPendingTiming: after Wait, Pending.Timing holds the worker-stamped
-// latencies of a request at either priority.
-func TestPendingTiming(t *testing.T) {
+// TestExecTimedReportsLatency: after Wait, Pending.Timing holds the
+// worker-stamped latencies of a High-priority request.
+func TestExecTimedReportsLatency(t *testing.T) {
 	db := openTest(t, Config{Workers: 1, Policy: PolicyPreempt})
 	db.CreateTable("t")
-	for _, prio := range []Priority{High, Low} {
-		p, err := db.SubmitOpts(TxnOptions{Priority: prio}, func(tx *Txn) error {
-			return tx.Put("t", []byte("k"), []byte("v"))
-		})
+	p, err := db.SubmitOpts(TxnOptions{Priority: High}, func(tx *Txn) error {
+		return tx.Insert("t", []byte("k"), []byte("v"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	timing := p.Timing()
+	if timing.Total <= 0 || timing.Scheduling < 0 || timing.Scheduling > timing.Total {
+		t.Fatalf("timing = %+v", timing)
+	}
+	if timing.Total > 10*time.Second {
+		t.Fatalf("implausible total %v", timing.Total)
+	}
+}
+
+// TestSubmitTimedCallback: a Low-priority request's Timing is valid once
+// Done has delivered the outcome.
+func TestSubmitTimedCallback(t *testing.T) {
+	db := openTest(t, Config{Workers: 1})
+	db.CreateTable("t")
+	p, err := db.SubmitOpts(TxnOptions{Priority: Low}, func(tx *Txn) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-p.Done():
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Wait(); err != nil {
-			t.Fatal(err)
+		if tm := p.Timing(); tm.Total <= 0 {
+			t.Fatalf("timing %+v", tm)
 		}
-		tm := p.Timing()
-		if tm.Total <= 0 || tm.Scheduling < 0 || tm.Scheduling > tm.Total {
-			t.Fatalf("priority %d: timing = %+v", prio, tm)
-		}
-		if tm.Total > 10*time.Second {
-			t.Fatalf("priority %d: implausible total %v", prio, tm.Total)
-		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("outcome never delivered")
 	}
 }
