@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"preemptdb/internal/hotcache"
@@ -242,5 +244,70 @@ func TestCommitAllocsWithCache(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(256, commit); avg >= 1 {
 		t.Fatalf("cached commit allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestCreateTableRacesCatalogReaders: CreateTable publishes a new catalog
+// while other goroutines look tables up by name, read through the hot-key
+// cache and walk the table list. Every reader sees a table exactly when its
+// creation has returned, and by the same identity.
+func TestCreateTableRacesCatalogReaders(t *testing.T) {
+	e, _ := newCachedEngine(t)
+	ctx := pcontext.Detached()
+	hot := e.CreateTable("hot")
+	mustPut(t, e, ctx, hot, []byte("k"), []byte("v"))
+	readOnce(t, e, ctx, hot, []byte("k")) // fill the cache
+
+	const tables = 200
+	created := make(chan *Table, tables)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, ok := e.CachedGet("hot", []byte("k")); !ok || string(v) != "v" {
+					t.Errorf("CachedGet(hot) = %q, %v", v, ok)
+					return
+				}
+				if tab, err := e.Table("hot"); err != nil || tab != hot {
+					t.Errorf("Table(hot) = %p, %v, want %p", tab, err, hot)
+					return
+				}
+				for i, tab := range e.tablesByID() {
+					if tab.ID() != uint32(i+1) {
+						t.Errorf("table %q has id %d at position %d", tab.Name(), tab.ID(), i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < tables; i++ {
+			created <- e.CreateTable(fmt.Sprintf("t%d", i))
+		}
+		close(created)
+	}()
+	for tab := range created {
+		if got, err := e.Table(tab.Name()); err != nil || got != tab {
+			t.Errorf("Table(%q) after CreateTable = %p, %v, want %p", tab.Name(), got, err, tab)
+		}
+		if again := e.CreateTable(tab.Name()); again != tab {
+			t.Errorf("CreateTable(%q) twice made two tables", tab.Name())
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := len(e.tablesByID()); n != tables+1 {
+		t.Fatalf("%d tables, want %d", n, tables+1)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"preemptdb/internal/mvcc"
 	"preemptdb/internal/pcontext"
@@ -63,13 +62,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	defer e.DetachContext(ctx)
 	snapTS := tx.Snapshot()
 
-	e.mu.RLock()
-	tabs := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tabs = append(tabs, t)
-	}
-	e.mu.RUnlock()
-	sort.Slice(tabs, func(i, j int) bool { return tabs[i].id < tabs[j].id })
+	tabs := e.tablesByID()
 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var hdr [16]byte
@@ -174,9 +167,7 @@ func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 		rows := binary.LittleEndian.Uint64(meta[0:])
 		wantCRC := binary.LittleEndian.Uint32(meta[8:])
 
-		e.mu.RLock()
-		tab, ok := e.tableIDs[id]
-		e.mu.RUnlock()
+		tab, ok := e.cat.Load().table(id)
 		if !ok || tab.name != string(nameBuf) {
 			return fmt.Errorf("engine: checkpoint table %q (id %d) not in schema", nameBuf, id)
 		}

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,10 +90,10 @@ type Engine struct {
 	oracle *mvcc.Oracle
 	log    *wal.Manager
 
-	mu       sync.RWMutex
-	tables   map[string]*Table
-	tableIDs map[uint32]*Table
-	nextID   uint32
+	// mu serializes CreateTable, the catalog's only writer; readers load
+	// the published catalog without it.
+	mu  sync.Mutex
+	cat atomic.Pointer[catalog]
 
 	commits  atomic.Uint64
 	aborts   atomic.Uint64
@@ -138,14 +137,13 @@ func New(cfg Config) *Engine {
 		cfg:        cfg,
 		oracle:     mvcc.NewOracle(),
 		log:        wal.NewManager(sink, cfg.SyncEachCommit),
-		tables:     make(map[string]*Table),
-		tableIDs:   make(map[uint32]*Table),
 		metrics:    cfg.Metrics,
 		cache:      cfg.Cache,
 		shardID:    uint8(cfg.ShardID),
 		traceAll:   cfg.TraceSampling > 0,
 		traceSpans: cfg.TraceSampling >= 0,
 	}
+	e.cat.Store(&catalog{names: map[string]*Table{}})
 	if cfg.VacuumInterval > 0 {
 		e.vacStop = make(chan struct{})
 		e.vacWG.Add(1)
@@ -248,30 +246,51 @@ func (t *Table) Name() string { return t.name }
 // visible version may be a tombstone).
 func (t *Table) Len() int { return t.primary.Len() }
 
+// catalog is the engine's set of tables. A published catalog is never
+// modified: CreateTable publishes a copy that adds the new table, so every
+// reader loads the current one without a lock.
+type catalog struct {
+	names map[string]*Table
+	byID  []*Table // in id order: table i has id i+1
+}
+
+// table returns the table with the given id.
+func (c *catalog) table(id uint32) (*Table, bool) {
+	if id == 0 || int(id) > len(c.byID) {
+		return nil, false
+	}
+	return c.byID[id-1], true
+}
+
 // CreateTable creates (or returns the existing) table with the given name.
 func (e *Engine) CreateTable(name string) *Table {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if t, ok := e.tables[name]; ok {
+	old := e.cat.Load()
+	if t, ok := old.names[name]; ok {
 		return t
 	}
-	e.nextID++
 	t := &Table{
-		id:          e.nextID,
+		id:          uint32(len(old.byID)) + 1,
 		name:        name,
 		primary:     index.New[*mvcc.Record](),
 		secondaries: make(map[string]*secondaryIndex),
 	}
-	e.tables[name] = t
-	e.tableIDs[t.id] = t
+	cat := &catalog{
+		names: make(map[string]*Table, len(old.names)+1),
+		byID:  append(old.byID[:len(old.byID):len(old.byID)], t),
+	}
+	for n, tab := range old.names {
+		cat.names[n] = tab
+	}
+	cat.names[name] = t
+	e.cat.Store(cat)
 	return t
 }
 
 // Table returns the named table.
 func (e *Engine) Table(name string) (*Table, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.tables[name]
+	t, ok := e.cat.Load().names[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, name)
 	}
@@ -423,18 +442,9 @@ func (e *Engine) Vacuum(ctx *pcontext.Context) int {
 // background vacuum since the engine was created.
 func (e *Engine) Vacuumed() uint64 { return e.vacuumed.Load() }
 
-// tablesByID snapshots the table list in id order (stable cursor order for
-// the incremental vacuum).
-func (e *Engine) tablesByID() []*Table {
-	e.mu.RLock()
-	tabs := make([]*Table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tabs = append(tabs, t)
-	}
-	e.mu.RUnlock()
-	sort.Slice(tabs, func(i, j int) bool { return tabs[i].id < tabs[j].id })
-	return tabs
-}
+// tablesByID returns the table list in id order (stable cursor order for
+// the incremental vacuum). The slice is the published catalog's: read-only.
+func (e *Engine) tablesByID() []*Table { return e.cat.Load().byID }
 
 // vacuumLoop is the background incremental vacuum: every VacuumInterval it
 // trims a bounded slice of VacuumBatch records, resuming from a persistent
@@ -569,17 +579,14 @@ func (e *Engine) ApplyRecovered(tx wal.CommittedTxn) error {
 
 // applyTxn installs one recovered transaction's records.
 func (e *Engine) applyTxn(ctx *pcontext.Context, tx wal.CommittedTxn) error {
-	// Resolve table ids under a single engine lock per committed
-	// transaction instead of re-locking for every record; consecutive
-	// records for the same table (the common log shape) skip the map
-	// lookup entirely.
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	// Consecutive records for the same table (the common log shape) skip
+	// the lookup.
+	cat := e.cat.Load()
 	var table *Table
 	for i := range tx.Records {
 		rec := &tx.Records[i]
 		if table == nil || table.id != rec.Table {
-			t, ok := e.tableIDs[rec.Table]
+			t, ok := cat.table(rec.Table)
 			if !ok {
 				return fmt.Errorf("engine: recovery references unknown table id %d", rec.Table)
 			}

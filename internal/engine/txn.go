@@ -48,6 +48,11 @@ type Txn struct {
 	leader  bool
 	stageFn func(cts uint64) error
 
+	// spare is the record the next insert puts in the index. It is replaced
+	// only once an insert has used it, so an upsert of an existing key
+	// allocates nothing, and a pooled transaction carries it to the next.
+	spare *mvcc.Record
+
 	// hint is the owning core's id, the metrics stripe selector. walTick
 	// counts this pooled transaction's commits to subsample the WAL-wait
 	// probe (see walSampleShift).
@@ -232,7 +237,7 @@ func (t *Txn) Insert(table *Table, key, value []byte) error {
 	if err := t.eng.log.Err(); err != nil {
 		return err // WAL failed: the engine is read-only, refuse before buffering
 	}
-	rec, _ := table.primary.GetOrInsert(t.ctx, key, mvcc.NewRecord())
+	rec := t.getOrInsert(table, key)
 	if _, ok := t.inner.Read(rec); ok {
 		return fmt.Errorf("%w: table %q", ErrDuplicateKey, table.name)
 	}
@@ -272,7 +277,7 @@ func (t *Txn) Put(table *Table, key, value []byte) error {
 	if err := t.eng.log.Err(); err != nil {
 		return err
 	}
-	rec, _ := table.primary.GetOrInsert(t.ctx, key, mvcc.NewRecord())
+	rec := t.getOrInsert(table, key)
 	_, existed := t.inner.Read(rec)
 	if err := t.inner.Update(rec, value); err != nil {
 		return err
@@ -288,6 +293,19 @@ func (t *Txn) Put(table *Table, key, value []byte) error {
 		})
 	}
 	return nil
+}
+
+// getOrInsert returns key's record in table, inserting the spare record in
+// one descent when the key is absent.
+func (t *Txn) getOrInsert(table *Table, key []byte) *mvcc.Record {
+	if t.spare == nil {
+		t.spare = mvcc.NewRecord()
+	}
+	rec, inserted := table.primary.GetOrInsert(t.ctx, key, t.spare)
+	if inserted {
+		t.spare = nil
+	}
+	return rec
 }
 
 // Delete tombstones a visible row.

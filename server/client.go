@@ -14,9 +14,18 @@ import (
 // Client is a connection to a PreemptDB server. Safe for concurrent use;
 // requests on one connection are serialized (open several clients for
 // parallelism).
+//
+// A round trip is one Write and, for a response that fits the read buffer,
+// one Read. Both buffers belong to the connection and are reused under mu:
+// a request is encoded straight into wbuf behind its length prefix, and a
+// response is cut out of rbuf, decoded (which copies every value out) and
+// then overwritten by the next one.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
+	wbuf []byte // the request being sent
+	rbuf []byte // rbuf[:n] holds the bytes read but not yet decoded
+	n    int
 }
 
 // Dial connects to a server address.
@@ -31,23 +40,51 @@ func Dial(addr string) (*Client, error) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one frame and reads the response.
-func (c *Client) roundTrip(payload []byte) (uint8, string, []OpResult, error) {
+// roundTrip sends the request whose payload encode appends and reads the
+// response.
+func (c *Client) roundTrip(encode func([]byte) []byte) (uint8, string, []OpResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := writeFrame(c.conn, payload); err != nil {
-		return 0, "", nil, err
+	c.wbuf = appendFrame(c.wbuf[:0], encode)
+	_, err := c.conn.Write(c.wbuf)
+	if cap(c.wbuf) > connBuf {
+		c.wbuf = nil // release a large request's buffer
 	}
-	resp, err := readFrame(c.conn)
 	if err != nil {
 		return 0, "", nil, err
 	}
-	return decodeResults(resp)
+	var rerr error
+	for {
+		frame, ok, err := cutFrame(c.rbuf[:c.n])
+		if err != nil {
+			return 0, "", nil, err
+		}
+		if ok {
+			status, msg, results, err := decodeResults(frame)
+			c.rbuf, c.n = carry(c.rbuf, 4+len(frame), c.n)
+			return status, msg, results, err
+		}
+		if rerr != nil {
+			return 0, "", nil, rerr
+		}
+		c.rbuf, c.n = carry(c.rbuf, 0, c.n)
+		var m int
+		m, rerr = c.conn.Read(c.rbuf[c.n:])
+		c.n += m
+	}
+}
+
+// wirePriority is p's priority byte on the wire.
+func wirePriority(p preemptdb.Priority) uint8 {
+	if p == preemptdb.High {
+		return 1
+	}
+	return 0
 }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	status, msg, _, err := c.roundTrip([]byte{reqPing})
+	status, msg, _, err := c.roundTrip(func(b []byte) []byte { return append(b, reqPing) })
 	if err != nil {
 		return err
 	}
@@ -59,8 +96,9 @@ func (c *Client) Ping() error {
 
 // CreateTable creates a table on the server (idempotent).
 func (c *Client) CreateTable(name string) error {
-	payload := appendString([]byte{reqCreateTable}, name)
-	status, msg, _, err := c.roundTrip(payload)
+	status, msg, _, err := c.roundTrip(func(b []byte) []byte {
+		return appendString(append(b, reqCreateTable), name)
+	})
 	if err != nil {
 		return err
 	}
@@ -72,7 +110,7 @@ func (c *Client) CreateTable(name string) error {
 // the JSON document the server ships in the response message.
 func (c *Client) Metrics() (metrics.RegistrySnapshot, error) {
 	var snap metrics.RegistrySnapshot
-	status, msg, _, err := c.roundTrip([]byte{reqMetrics})
+	status, msg, _, err := c.roundTrip(func(b []byte) []byte { return append(b, reqMetrics) })
 	if err != nil {
 		return snap, err
 	}
@@ -91,7 +129,7 @@ func (c *Client) Metrics() (metrics.RegistrySnapshot, error) {
 // trace tag, starvation level. Returned raw so callers without the
 // preemptdb types (dashboards, scripts) can consume it directly.
 func (c *Client) SchedState() ([]byte, error) {
-	status, msg, _, err := c.roundTrip([]byte{reqSchedState})
+	status, msg, _, err := c.roundTrip(func(b []byte) []byte { return append(b, reqSchedState) })
 	if err != nil {
 		return nil, err
 	}
@@ -109,12 +147,11 @@ func (c *Client) SchedState() ([]byte, error) {
 // trace with a nil error means the server has tracing disabled or the rings
 // wrapped before export.
 func (c *Client) TxnTraced(p preemptdb.Priority, traceID uint64, traceWait time.Duration, ops []ScriptOp) ([]OpResult, []byte, error) {
-	var prio uint8
-	if p == preemptdb.High {
-		prio = 1
-	}
+	prio := wirePriority(p)
 	micros := uint64(traceWait / time.Microsecond)
-	status, msg, results, err := c.roundTrip(encodeScriptTrace(nil, prio, traceID, micros, ops))
+	status, msg, results, err := c.roundTrip(func(b []byte) []byte {
+		return encodeScriptTrace(b, prio, traceID, micros, ops)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,7 +169,7 @@ func (c *Client) TxnTraced(p preemptdb.Priority, traceID uint64, traceWait time.
 // name=value pairs: every field of the database's Stats table under its
 // exposition name, then conns_open, the connections the server holds open.
 func (c *Client) Stats() (string, error) {
-	status, msg, _, err := c.roundTrip([]byte{reqStats})
+	status, msg, _, err := c.roundTrip(func(b []byte) []byte { return append(b, reqStats) })
 	if err != nil {
 		return "", err
 	}
@@ -141,11 +178,8 @@ func (c *Client) Stats() (string, error) {
 
 // Txn executes a script of operations atomically at the given priority.
 func (c *Client) Txn(p preemptdb.Priority, ops []ScriptOp) ([]OpResult, error) {
-	var prio uint8
-	if p == preemptdb.High {
-		prio = 1
-	}
-	status, msg, results, err := c.roundTrip(encodeScript(nil, prio, ops))
+	prio := wirePriority(p)
+	status, msg, results, err := c.roundTrip(func(b []byte) []byte { return encodeScript(b, prio, ops) })
 	if err != nil {
 		return nil, err
 	}
@@ -161,15 +195,14 @@ func (c *Client) Txn(p preemptdb.Priority, ops []ScriptOp) ([]OpResult, error) {
 // transaction that misses it — still queued or mid-flight — fails with
 // ErrDeadlineExceeded instead of occupying a core.
 func (c *Client) TxnTimeout(p preemptdb.Priority, timeout time.Duration, ops []ScriptOp) ([]OpResult, error) {
-	var prio uint8
-	if p == preemptdb.High {
-		prio = 1
-	}
+	prio := wirePriority(p)
 	micros := uint64(timeout / time.Microsecond)
 	if timeout > 0 && micros == 0 {
 		micros = 1 // sub-microsecond timeouts still arm a deadline
 	}
-	status, msg, results, err := c.roundTrip(encodeScriptDeadline(nil, prio, micros, ops))
+	status, msg, results, err := c.roundTrip(func(b []byte) []byte {
+		return encodeScriptDeadline(b, prio, micros, ops)
+	})
 	if err != nil {
 		return nil, err
 	}

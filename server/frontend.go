@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"net"
 	"time"
 )
@@ -17,12 +16,6 @@ import (
 // frames; the kernel's socket buffers are the back-pressure on a client that
 // pipelines faster than the server executes. Overload is the scheduler's to
 // refuse: a request that finds its queues full gets a typed queue-full frame.
-
-// connBuf is the size of a connection's read buffer (it grows past this only
-// to hold one larger frame, and shrinks back afterwards) and the
-// response-buffer fill at which responses go out before the read's last frame
-// is answered.
-const connBuf = 64 << 10
 
 // conn is one client connection. Only its own goroutine touches wbuf.
 type conn struct {
@@ -62,18 +55,7 @@ func (c *conn) serve() {
 			// byte stream is gone or no longer trustworthy.
 			return
 		}
-		n = copy(buf, buf[consumed:n])
-		if n >= 4 {
-			// The pending frame may not fit (parseFrames has already held its
-			// length to maxFrame): grow to exactly that frame.
-			if need := 4 + int(binary.BigEndian.Uint32(buf)); need > len(buf) {
-				grown := make([]byte, need)
-				copy(grown, buf[:n])
-				buf = grown
-			}
-		} else if n == 0 && len(buf) > connBuf {
-			buf = make([]byte, connBuf) // release a large frame's buffer
-		}
+		buf, n = carry(buf, consumed, n)
 	}
 }
 
@@ -91,20 +73,12 @@ func (c *conn) close() {
 func parseFrames(dst [][]byte, data []byte) (frames [][]byte, consumed int, err error) {
 	frames = dst
 	for {
-		rest := data[consumed:]
-		if len(rest) < 4 {
-			return
+		frame, ok, err := cutFrame(data[consumed:])
+		if !ok {
+			return frames, consumed, err
 		}
-		n := binary.BigEndian.Uint32(rest)
-		if n > maxFrame {
-			err = ErrFrameTooLarge
-			return
-		}
-		if uint64(len(rest)) < 4+uint64(n) {
-			return
-		}
-		frames = append(frames, rest[4:4+n])
-		consumed += 4 + int(n)
+		frames = append(frames, frame)
+		consumed += 4 + len(frame)
 	}
 }
 
@@ -125,15 +99,6 @@ func (c *conn) serveFrames(frames [][]byte) bool {
 		}
 	}
 	return c.flush() == nil
-}
-
-// appendFrame appends one length-prefixed frame whose payload is whatever
-// encode appends.
-func appendFrame(b []byte, encode func([]byte) []byte) []byte {
-	at := len(b)
-	b = encode(append(b, 0, 0, 0, 0))
-	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
-	return b
 }
 
 // flush writes the buffered responses. The buffer's array is kept for the

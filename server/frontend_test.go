@@ -79,13 +79,13 @@ func TestFloodShedsLowAtTheQueuesAndAnswersEveryFrame(t *testing.T) {
 		conn.SetDeadline(time.Now().Add(60 * time.Second)) // hang watchdog
 		var batch bytes.Buffer
 		for _, f := range frames {
-			writeFrame(&batch, f)
+			sendFrame(&batch, f)
 		}
 		werr := make(chan error, 1)
 		go func() { _, err := conn.Write(batch.Bytes()); werr <- err }()
 		statuses := make([]uint8, len(frames))
 		for i := range frames {
-			raw, err := readFrame(conn)
+			raw, err := recvFrame(conn)
 			if err != nil {
 				return nil, fmt.Errorf("reply %d of %d: %w", i, len(frames), err)
 			}
@@ -232,7 +232,7 @@ func pipeline(t *testing.T, conn net.Conn, frames [][]byte, chunk int) []wireRes
 	conn.SetDeadline(time.Now().Add(60 * time.Second))
 	var batch bytes.Buffer
 	for _, f := range frames {
-		if err := writeFrame(&batch, f); err != nil {
+		if err := sendFrame(&batch, f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +254,7 @@ func pipeline(t *testing.T, conn net.Conn, frames [][]byte, chunk int) []wireRes
 	}()
 	resps := make([]wireResponse, len(frames))
 	for i := range resps {
-		raw, err := readFrame(conn)
+		raw, err := recvFrame(conn)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -476,7 +476,7 @@ func TestPeerThatNeverReadsIsClosedWithBoundedMemory(t *testing.T) {
 	// responses. Keep sending until the server stops taking them.
 	var batch bytes.Buffer
 	for i := 0; i < 4096; i++ {
-		writeFrame(&batch, txnFrame(0, []ScriptOp{{Op: opGet, Table: "kv", Key: []byte("row")}}))
+		sendFrame(&batch, txnFrame(0, []ScriptOp{{Op: opGet, Table: "kv", Key: []byte("row")}}))
 	}
 	go func() {
 		nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
@@ -529,10 +529,10 @@ func TestFastPathCachedGetOverWire(t *testing.T) {
 	readResp := func() []byte {
 		t.Helper()
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		if err := writeFrame(conn, get); err != nil {
+		if err := sendFrame(conn, get); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readFrame(conn)
+		resp, err := recvFrame(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,10 +557,10 @@ func TestFastPathCachedGetOverWire(t *testing.T) {
 	if status, msg := roundTripRaw(t, conn, put2); status != statusOK {
 		t.Fatalf("second put: status=%d msg=%q", status, msg)
 	}
-	if err := writeFrame(conn, get); err != nil {
+	if err := sendFrame(conn, get); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(conn)
+	resp, err := recvFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,10 +577,10 @@ func TestPipelinedBatchThenEOF(t *testing.T) {
 	conn := mustDialRaw(t, addr)
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 	var batch bytes.Buffer
-	writeFrame(&batch, []byte{reqCreateTable, 2, 'k', 'v'})
+	sendFrame(&batch, []byte{reqCreateTable, 2, 'k', 'v'})
 	const K = 48
 	for i := 0; i < K; i++ {
-		writeFrame(&batch, txnFrame(1, []ScriptOp{
+		sendFrame(&batch, txnFrame(1, []ScriptOp{
 			{Op: opPut, Table: "kv", Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v")},
 		}))
 	}
@@ -588,7 +588,7 @@ func TestPipelinedBatchThenEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i <= K; i++ {
-		resp, err := readFrame(conn)
+		resp, err := recvFrame(conn)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -616,7 +616,7 @@ func TestIdleTimeoutSkipsBusyConns(t *testing.T) {
 	const K = 64
 	var val [4096]byte
 	for i := 0; i < K; i++ {
-		writeFrame(&batch, txnFrame(0, []ScriptOp{
+		sendFrame(&batch, txnFrame(0, []ScriptOp{
 			{Op: opPut, Table: "kv", Key: []byte(fmt.Sprintf("k%04d", i)), Value: val[:]},
 			{Op: opScan, Table: "kv", Limit: 64},
 		}))
@@ -625,7 +625,7 @@ func TestIdleTimeoutSkipsBusyConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < K; i++ {
-		resp, err := readFrame(conn)
+		resp, err := recvFrame(conn)
 		if err != nil {
 			t.Fatalf("response %d: %v (idle timeout closed a busy conn?)", i, err)
 		}
@@ -636,7 +636,7 @@ func TestIdleTimeoutSkipsBusyConns(t *testing.T) {
 	}
 	// Once genuinely idle, the timeout must reclaim the connection.
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readFrame(conn); err == nil {
+	if _, err := recvFrame(conn); err == nil {
 		t.Fatal("idle connection survived the timeout")
 	} else if err != io.EOF {
 		if nerr, ok := err.(net.Error); ok && nerr.Timeout() {

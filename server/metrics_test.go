@@ -71,7 +71,7 @@ func TestPipelinedMetricsFrame(t *testing.T) {
 		if i == K/2 {
 			frame = []byte{reqMetrics}
 		}
-		if err := writeFrame(&batch, frame); err != nil {
+		if err := sendFrame(&batch, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestPipelinedMetricsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < K; i++ {
-		resp, err := readFrame(conn)
+		resp, err := recvFrame(conn)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -110,10 +110,10 @@ func TestMalformedMetricsFrame(t *testing.T) {
 	}
 	defer conn.Close()
 
-	if err := writeFrame(conn, []byte{reqMetrics, 0xAB}); err != nil {
+	if err := sendFrame(conn, []byte{reqMetrics, 0xAB}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(conn)
+	resp, err := recvFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestMalformedMetricsFrame(t *testing.T) {
 	}
 
 	// Same connection, valid frame: still served.
-	if err := writeFrame(conn, []byte{reqMetrics}); err != nil {
+	if err := sendFrame(conn, []byte{reqMetrics}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = readFrame(conn)
+	resp, err = recvFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

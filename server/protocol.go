@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Op codes for transaction script operations.
@@ -87,32 +86,60 @@ var (
 	ErrMalformed     = errors.New("server: malformed frame")
 )
 
-// writeFrame writes a length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// Framing. A frame is a 4-byte big-endian payload length followed by the
+// payload. Both ends build frames with appendFrame, so a frame leaves in one
+// Write, and cut them out of a reused read buffer with cutFrame.
+
+// connBuf is the size of a read buffer on either end of a connection (it
+// grows past this only to hold one larger frame, and shrinks back afterwards)
+// and the server's response-buffer fill at which responses go out before the
+// read's last frame is answered.
+const connBuf = 64 << 10
+
+// appendFrame appends one length-prefixed frame whose payload is whatever
+// encode appends.
+func appendFrame(b []byte, encode func([]byte) []byte) []byte {
+	at := len(b)
+	b = encode(append(b, 0, 0, 0, 0))
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
-// readFrame reads a length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// cutFrame returns the payload of the frame at the front of data, aliasing
+// data; ok is false while data holds only part of it. A length prefix over
+// maxFrame is an error: the byte stream can no longer be trusted.
+func cutFrame(data []byte) (payload []byte, ok bool, err error) {
+	if len(data) < 4 {
+		return nil, false, nil
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(data)
 	if n > maxFrame {
-		return nil, ErrFrameTooLarge
+		return nil, false, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	if uint64(len(data)) < 4+uint64(n) {
+		return nil, false, nil
 	}
-	return buf, nil
+	return data[4 : 4+n], true, nil
+}
+
+// carry prepares a read buffer for its next read once the frames in
+// buf[:consumed] are done with: it moves the n-consumed bytes after them to
+// the front and returns the buffer with the count it now holds. A pending
+// frame that does not fit grows the buffer to exactly that frame (cutFrame has
+// already held its length to maxFrame); an empty buffer of any size but
+// connBuf (none yet, or one a large frame grew) becomes connBuf again.
+func carry(buf []byte, consumed, n int) ([]byte, int) {
+	n = copy(buf, buf[consumed:n])
+	if n >= 4 {
+		if need := 4 + int(binary.BigEndian.Uint32(buf)); need > len(buf) {
+			grown := make([]byte, need)
+			copy(grown, buf[:n])
+			return grown, n
+		}
+	} else if n == 0 && len(buf) != connBuf {
+		return make([]byte, connBuf), 0
+	}
+	return buf, n
 }
 
 // appendBytes appends a uvarint-length-prefixed blob.

@@ -51,12 +51,12 @@ func mustDialRaw(t *testing.T, addr string) net.Conn {
 func roundTripRaw(t *testing.T, conn net.Conn, payload []byte) (uint8, string) {
 	t.Helper()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeFrame(conn, payload); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+	if err := sendFrame(conn, payload); err != nil {
+		t.Fatalf("sendFrame: %v", err)
 	}
-	resp, err := readFrame(conn)
+	resp, err := recvFrame(conn)
 	if err != nil {
-		t.Fatalf("readFrame: %v", err)
+		t.Fatalf("recvFrame: %v", err)
 	}
 	status, msg, _, err := decodeResults(resp)
 	if err != nil {

@@ -276,10 +276,10 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	// A frame with an unknown request type.
-	if err := writeFrame(conn, []byte{0xEE}); err != nil {
+	if err := sendFrame(conn, []byte{0xEE}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(conn)
+	resp, err := recvFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,17 +289,29 @@ func TestMalformedFrameDropsConnection(t *testing.T) {
 	}
 	// Connection must be closed afterwards.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFrame(conn); err == nil {
+	if _, err := recvFrame(conn); err == nil {
 		t.Fatal("connection survived protocol error")
 	}
 }
 
+// TestOversizeFrameRejected: a response whose length prefix is over maxFrame
+// fails the call with ErrFrameTooLarge instead of sizing a buffer to it.
 func TestOversizeFrameRejected(t *testing.T) {
-	var buf bytes.Buffer
-	huge := make([]byte, 5)
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	buf.Write(huge)
-	if _, err := readFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	cc, sc := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer sc.Close()
+		if _, err := recvFrame(sc); err != nil {
+			return
+		}
+		sc.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0})
+	}()
+	cl := &Client{conn: cc}
+	err := cl.Ping()
+	cl.Close()
+	<-done
+	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -381,7 +393,7 @@ func TestPipelinedRequests(t *testing.T) {
 		t.Helper()
 		var batch bytes.Buffer
 		for _, f := range frames {
-			if err := writeFrame(&batch, f); err != nil {
+			if err := sendFrame(&batch, f); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -400,7 +412,7 @@ func TestPipelinedRequests(t *testing.T) {
 	}
 	sendBatch(frames)
 	for i := 0; i < K; i++ {
-		resp, err := readFrame(conn)
+		resp, err := recvFrame(conn)
 		if err != nil {
 			t.Fatalf("insert response %d: %v", i, err)
 		}
@@ -418,7 +430,7 @@ func TestPipelinedRequests(t *testing.T) {
 	}
 	sendBatch(frames)
 	for i := 0; i < K; i++ {
-		resp, err := readFrame(conn)
+		resp, err := recvFrame(conn)
 		if err != nil {
 			t.Fatalf("get response %d: %v", i, err)
 		}
