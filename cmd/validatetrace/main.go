@@ -1,10 +1,11 @@
 // Command validatetrace checks that a file is a well-formed Chrome
-// trace-event JSON document as produced by preemptbench -trace,
-// DB.TraceSnapshot, or DB.TraceTxn: parseable, non-empty, known event
+// trace-event JSON document as produced by DB.TraceSnapshot or DB.TraceTxn
+// (served at /trace and /trace/txn): parseable, non-empty, known event
 // phases, non-negative durations, monotonic timestamps, and coherent
 // cross-shard flow events (every flow started is finished, steps never
-// precede their start). CI uses it to validate the trace artifacts; it is
-// also a quick sanity check before loading a trace into ui.perfetto.dev.
+// precede their start). It runs the same check as the tests that validate
+// emitted traces (TestDBTraceSnapshot, TestTraceTxnCrossShard); use it as a
+// quick sanity check before loading a trace into ui.perfetto.dev.
 //
 // Usage: validatetrace trace.json
 package main

@@ -38,8 +38,6 @@ type CLS struct {
 const (
 	// SlotLog holds the context's *wal.Buffer redo buffer.
 	SlotLog = iota
-	// SlotRand holds the context's *rng.Rand stream.
-	SlotRand
 	// SlotSnapshot holds the context's *mvcc.ActiveSlot for version GC.
 	SlotSnapshot
 	// SlotScratch holds a reusable scratch allocation area.

@@ -2,9 +2,7 @@ package pcontext
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"preemptdb/internal/clock"
 )
@@ -204,35 +202,6 @@ func (t *Tracer) Snapshot() []Event {
 		out = append(out, Event{At: at, Tag: tag, Kind: kind, From: from, To: to, Aux: aux})
 	}
 	return out
-}
-
-// Timeline renders a snapshot as human-readable lines with timestamps
-// relative to the first event.
-func Timeline(events []Event) string {
-	if len(events) == 0 {
-		return "(no events)\n"
-	}
-	base := events[0].At
-	var b strings.Builder
-	for _, e := range events {
-		rel := time.Duration(e.At - base)
-		txn := ""
-		if e.Tag != 0 {
-			txn = fmt.Sprintf("  txn=%d", e.Tag)
-		}
-		switch e.Kind {
-		case EvPassiveSwitch, EvActiveSwitch:
-			fmt.Fprintf(&b, "%12v  %-9s ctx%d -> ctx%d%s\n", rel, e.Kind, e.From, e.To, txn)
-		default:
-			if e.Kind.SpanEnd() || e.Aux != 0 {
-				fmt.Fprintf(&b, "%12v  %-12s ctx%d%s  dur=%v detail=%d\n",
-					rel, e.Kind, e.From, txn, time.Duration(AuxDuration(e.Aux)), AuxDetail(e.Aux))
-			} else {
-				fmt.Fprintf(&b, "%12v  %-9s ctx%d%s\n", rel, e.Kind, e.From, txn)
-			}
-		}
-	}
-	return b.String()
 }
 
 // TraceEvent records a transaction lifecycle event on the context's core ring,

@@ -588,9 +588,9 @@ func (w *Worker) install() {
 // hardware handler.
 func (w *Worker) handlePreempt(cur *pcontext.Context) {
 	if w.core.Done() || w.runsHigh(cur) || w.hiQ.Empty() {
-		// An empty queue is a spurious or raced interrupt (fig8's overhead
-		// path); otherwise the batch waits for the running high-priority
-		// transaction and is taken next.
+		// An empty queue is a spurious, raced or empty interrupt, absorbed
+		// without a switch; otherwise the batch waits for the running
+		// high-priority transaction and is taken next.
 		return
 	}
 	st := &w.slots[cur.ID()]
@@ -950,14 +950,4 @@ func (s *Scheduler) SubmitHighBatch(reqs []*Request) int {
 		}
 	}
 	return accepted
-}
-
-// PingAll sends an empty (no enqueued work) preemption interrupt to every
-// worker — the fig8 overhead experiment, which measures the cost of the
-// interrupt machinery when there is never high-priority work.
-func (s *Scheduler) PingAll() {
-	for _, w := range s.workers {
-		uintr.SendUIPI(w.core.Receiver().UPID(), uintr.VecPreempt)
-		s.interruptsSent.Add(1)
-	}
 }

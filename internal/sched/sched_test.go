@@ -9,6 +9,7 @@ import (
 
 	"preemptdb/internal/clock"
 	"preemptdb/internal/pcontext"
+	"preemptdb/internal/uintr"
 )
 
 // spinFor busily executes poll loops on ctx for roughly d, simulating a
@@ -351,35 +352,46 @@ func TestSubmitLowFullQueue(t *testing.T) {
 }
 
 func TestPingAllOverheadPath(t *testing.T) {
-	// fig8: empty interrupts must be absorbed without executing anything
-	// and without wedging the workers.
+	// Empty interrupts (no queued high-priority work, the paper's Fig. 8
+	// overhead path) must be absorbed without executing anything and without
+	// wedging the workers.
 	s := New(Config{Policy: PolicyPreempt, Workers: 2})
 	s.Start()
 	defer s.Stop()
 
-	var lo atomic.Int64
-	done := make(chan struct{})
+	stop, done := make(chan struct{}), make(chan struct{})
 	s.SubmitLow(0, &Request{Work: func(ctx *pcontext.Context) error {
-		spinFor(ctx, 30*time.Millisecond)
-		lo.Add(1)
-		close(done)
-		return nil
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return nil
+			default:
+				ctx.Poll()
+				runtime.Gosched() // let the sender run on one P
+			}
+		}
 	}})
-	for i := 0; i < 50; i++ {
-		s.PingAll()
-		time.Sleep(500 * time.Microsecond)
+	core := s.Workers()[0].Core()
+	delivered := func() uint64 { n, _ := core.DeliveryStats(); return n }
+	deadline := time.Now().Add(5 * time.Second)
+	for delivered() < 100 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker recognized %d of the posted empty interrupts", delivered())
+		}
+		for _, w := range s.Workers() {
+			uintr.SendUIPI(w.Core().Receiver().UPID(), uintr.VecPreempt)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
+	close(stop)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker wedged by empty interrupts")
 	}
-	if s.InterruptsSent() < 100 {
-		t.Fatalf("interrupts sent = %d", s.InterruptsSent())
-	}
 	// No high-priority work existed, so no switches should have happened.
-	w := s.Workers()[0]
-	if w.Core().Context(0).TCB().PassiveSwitches() != 0 {
+	if core.Context(0).TCB().PassiveSwitches() != 0 {
 		t.Fatal("empty interrupt caused a context switch")
 	}
 }
