@@ -8,13 +8,15 @@
 // Mapping from the paper's x86 machinery to this package:
 //
 //   - A worker thread pinned to a CPU core        → Core
-//   - A transaction context with its own stack    → Context (a goroutine)
+//   - A transaction context with its own stack    → Context: the preemptive
+//     context is the core's driver goroutine, the
+//     regular context a coroutine it resumes
 //   - The transaction control block (TCB) holding
 //     saved registers                             → TCB; the "registers" are
-//     the goroutine stack, captured/restored by
-//     parking/unparking on a per-context channel
+//     the goroutine stacks, exchanged by the
+//     runtime's coroutine switch (iter.Pull)
 //   - uintr frame push + uiret                    → Core.poll → handler →
-//     SwitchTo/park
+//     SwitchTo
 //   - clui/stui and the swap_context RIP check    → Receiver UIF masking in
 //     SwapContext
 //   - fs/gs-swapped context-local storage (CLS)   → CLS struct reached only
@@ -22,15 +24,15 @@
 //   - CLS lock counter for non-preemptible
 //     regions                                     → TCB.Lock/Unlock nesting
 //
-// Exactly one context per core is runnable at a time: a context runs until it
-// parks, and parking/unparking is a binary-semaphore channel handoff, so the
-// invariant a single hardware thread provides is preserved (with a benign
-// nanosecond-scale overlap during the handoff itself, which only touches
-// atomic core state).
+// Exactly one context per core runs at a time, the invariant a single
+// hardware thread provides: a switch is a yield from the regular context or
+// a resume from the preemptive one, and either hands the thread straight to
+// the other goroutine without passing through the Go scheduler.
 package pcontext
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -56,23 +58,22 @@ type Core struct {
 	recv *uintr.Receiver
 
 	contexts []*Context
-	// active is the context currently entitled to run. Mutated only by the
-	// running context during a switch; read concurrently by the scheduler.
-	active atomic.Pointer[Context]
+	// yield suspends context 0 and resumes context 1, resume the reverse;
+	// each is set and called by one context only (see Start).
+	yield  func(struct{}) bool
+	resume func() (struct{}, bool)
 
 	handler  Handler
 	pollHook PollHook
-	// hooked is 1 when either a handler or poll hook is installed; lets
-	// Poll's fast path skip everything with one non-atomic read after the
-	// nil-context check.
+	// hooked is set when a handler or poll hook is installed, so Poll's fast
+	// path skips everything else with one load.
 	hooked atomic.Bool
 
 	done atomic.Bool
 	wg   sync.WaitGroup
 
-	// deliveryLatency accumulates recognition latency (nanos between post
-	// and handler entry) for the §6.1 microbenchmark; guarded by being
-	// updated only from the core's running context.
+	// deliveryCount/deliverySum accumulate post-to-handler-entry latency for
+	// the §6.1 microbenchmark, written only by the core's running context.
 	deliveryCount atomic.Uint64
 	deliverySum   atomic.Int64
 	// deliveryObs, when set, additionally receives each delivery-latency
@@ -99,8 +100,9 @@ func (c *Core) UserData() any { return c.userData }
 func (c *Core) SetDeliveryObserver(fn func(nanos int64)) { c.deliveryObs = fn }
 
 // NewCore creates a core with n transaction contexts. PreemptDB's scheduler
-// uses two — the paper's regular context and its preemptive context.
-// Contexts are created parked; call Start to launch them.
+// uses two — the paper's regular context and its preemptive context. Start
+// runs cores of one or two contexts; a larger core only lends its Context
+// objects (per-context pooling and starvation accounting).
 func NewCore(id, n int) *Core {
 	if n < 1 {
 		panic("pcontext: core needs at least one context")
@@ -126,9 +128,6 @@ func (c *Core) Context(i int) *Context { return c.contexts[i] }
 // NumContexts returns the number of contexts on this core.
 func (c *Core) NumContexts() int { return len(c.contexts) }
 
-// Active returns the context currently entitled to run.
-func (c *Core) Active() *Context { return c.active.Load() }
-
 // SetHandler installs the user-interrupt handler. Install before Start.
 func (c *Core) SetHandler(h Handler) {
 	c.handler = h
@@ -141,38 +140,60 @@ func (c *Core) SetPollHook(h PollHook) {
 	c.hooked.Store(h != nil || c.handler != nil)
 }
 
-// Start launches one goroutine per context. entries[i] is the body for
-// context i; bodies typically loop until Core.Done, parking between turns.
-// Context 0 starts runnable; all others start parked.
+// Start runs the core; entries[i] is context i's body, and bodies typically
+// loop until Done. A one-context core runs its body on one goroutine. On a
+// two-context core context 1, the preemptive context, is the driver
+// goroutine and context 0, the regular one, a coroutine it resumes
+// (iter.Pull): context 0 runs first, and context 1's body first runs when
+// context 0 first switches to it. If context 0 blocks (an idle park, a WAL
+// wait), its driver stays blocked with it; that is correct, because only
+// one context of a core ever runs. Start panics on more than two contexts.
 func (c *Core) Start(entries []func(*Context)) {
-	if len(entries) != len(c.contexts) {
-		panic("pcontext: entry count must match context count")
+	if len(entries) != len(c.contexts) || len(entries) > 2 {
+		panic("pcontext: Start takes one body per context, on a core of one or two")
 	}
-	c.active.Store(c.contexts[0])
-	for i, ctx := range c.contexts {
-		c.wg.Add(1)
-		go func(ctx *Context, body func(*Context)) {
-			defer c.wg.Done()
-			ctx.park() // every context waits for its first token
-			if body != nil && !c.done.Load() {
-				body(ctx)
+	regular := c.contexts[0]
+	drive := func() { regular.run(entries[0]) }
+	if len(entries) == 2 {
+		// Built on the caller, so a GC assist its allocations draw is paid
+		// before Start returns, not by the first request.
+		resume, stop := iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			regular.run(entries[0])
+		})
+		c.resume = resume
+		// Context 0 runs until it first switches away or returns, then context
+		// 1's body; stop resumes a suspended context 0 and waits for its end.
+		drive = func() {
+			if resume(); !regular.exited {
+				c.contexts[1].run(entries[1])
 			}
-		}(ctx, entries[i])
+			stop()
+		}
 	}
-	c.contexts[0].unpark()
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		drive()
+	}()
+}
+
+// run runs body on x unless Shutdown began first, then marks x exited.
+func (x *Context) run(body func(*Context)) {
+	if body != nil && !x.core.done.Load() {
+		body(x)
+	}
+	x.exited = true
 }
 
 // Done reports whether Shutdown has been requested.
 func (c *Core) Done() bool { return c.done.Load() }
 
-// Shutdown requests termination, wakes every context so its body can observe
-// Done, and waits for all context goroutines to exit. Bodies must return
-// promptly once Done is true.
+// Shutdown requests termination and waits for every body, which must return
+// promptly once Done is true. From then on a switch returns at once; a
+// suspended context 0 resumes once context 1's body has returned.
 func (c *Core) Shutdown() {
 	c.done.Store(true)
-	for _, ctx := range c.contexts {
-		ctx.unpark()
-	}
 	c.wg.Wait()
 }
 
@@ -307,9 +328,11 @@ func (c *Core) poll(cur *Context) {
 
 // Context is one transaction context: a goroutine plus its TCB and CLS.
 type Context struct {
-	id     int
-	core   *Core
-	resume chan struct{} // binary semaphore: park/unpark token
+	id   int
+	core *Core
+	// exited is set once the body has returned; only the core's other
+	// context reads it, and only while this one is suspended or gone.
+	exited bool
 	tcb    TCB
 	cls    CLS
 	// lc is the request lifecycle descriptor (deadline + cancel reason),
@@ -324,8 +347,8 @@ type Context struct {
 	// t0 is the start timestamp of the low-priority transaction occupying
 	// this context (0 when none), th the nanoseconds of high-priority work
 	// that ran on the core since t0, frozenL the level frozen at EndLowPrio
-	// (float64 bits). th is atomic because the preemptive context adds to it
-	// while this context is parked; t0/frozenL are written only under the
+	// (float64 bits). th is atomic because submitters read it while the
+	// preemptive context adds to it; t0/frozenL are written only under the
 	// single-writer invariant documented on BeginLowPrio.
 	t0      atomic.Int64
 	th      atomic.Int64
@@ -333,14 +356,14 @@ type Context struct {
 }
 
 func newContext(id int, core *Core) *Context {
-	return &Context{id: id, core: core, resume: make(chan struct{}, 1), cls: newCLS()}
+	return &Context{id: id, core: core, cls: newCLS()}
 }
 
 // Detached returns a context not bound to any core. Poll is a no-op on it;
 // CLS and non-preemptible nesting still work. Use it to run engine code
 // outside the scheduler (tests, loaders, single-shot tools).
 func Detached() *Context {
-	return &Context{id: -1, resume: make(chan struct{}, 1), cls: newCLS()}
+	return &Context{id: -1, cls: newCLS()}
 }
 
 // ID returns the context's index on its core (-1 for detached contexts).
@@ -407,45 +430,16 @@ func (x *Context) Poll() {
 	core.poll(x)
 }
 
-// park blocks until another context (or Shutdown) hands this context the
-// core. The goroutine stack is the saved register state.
-func (x *Context) park() { <-x.resume }
-
-// unpark makes the context runnable. The buffered channel guarantees at most
-// one token is outstanding, so unpark never blocks.
-func (x *Context) unpark() {
-	select {
-	case x.resume <- struct{}{}:
-	default:
-		// Token already pending: double unpark (only Shutdown can race here).
-	}
-}
-
 // SwitchTo performs a passive context switch from x (the interrupted
-// context) to target: it transfers the core and parks x. It must only be
-// called from x's own goroutine, normally inside a user-interrupt handler.
-// When another context later switches back, SwitchTo returns and x resumes
+// context) to target, normally inside a user-interrupt handler on x. When
+// another context later switches back, SwitchTo returns and x resumes
 // exactly where it was interrupted — the uiret analogue.
 //
 // The target context resumes with interrupts enabled: on hardware, entering
 // the switched-to context restores that context's saved RFLAGS whose UIF is
-// set. This is what allows nested preemption across more than two priority
-// levels; a two-level scheduler that must not re-interrupt its preemptive
+// set. A two-level scheduler that must not re-interrupt its preemptive
 // context simply drops same-context interrupts in its handler.
-func (x *Context) SwitchTo(target *Context) {
-	if x.core == nil || target.core != x.core {
-		panic("pcontext: SwitchTo across cores or on detached context")
-	}
-	if target == x {
-		return
-	}
-	x.tcb.passiveSwitches.Store(x.tcb.passiveSwitches.Load() + 1)
-	x.core.tracer.record(EvPassiveSwitch, int8(x.id), int8(target.id), x.traceTag)
-	x.core.active.Store(target)
-	x.core.recv.STUI()
-	target.unpark()
-	x.park()
-}
+func (x *Context) SwitchTo(target *Context) { x.switchTo(target, false) }
 
 // SwapContext is the voluntary (active) switch used when a context concludes
 // its work and hands the core back — e.g. the preemptive context resuming the
@@ -455,23 +449,34 @@ func (x *Context) SwitchTo(target *Context) {
 // context resumes with interrupts enabled; an interrupt posted inside the
 // window stays pending and is recognized at the target's next poll — the
 // behaviour the paper obtains with its instruction-pointer range check.
-func (x *Context) SwapContext(target *Context) {
-	if x.core == nil || target.core != x.core {
-		panic("pcontext: SwapContext across cores or on detached context")
+func (x *Context) SwapContext(target *Context) { x.switchTo(target, true) }
+
+// switchTo hands the core from x to target and returns once x holds it
+// again: context 0 yields to the driver, the driver resumes context 0. It
+// must be called on x's own goroutine. A switch to x itself, to a context
+// whose body has returned, or after Shutdown began returns at once, counting
+// no switch and recording no trace event.
+func (x *Context) switchTo(target *Context, active bool) {
+	c := x.core
+	if c == nil || target.core != c {
+		panic("pcontext: switch across cores or on a detached context")
 	}
-	if target == x {
+	if target == x || target.exited || c.done.Load() {
 		return
 	}
-	recv := x.core.recv
-	recv.CLUI() // .swap_context_start
-	x.tcb.activeSwitches.Store(x.tcb.activeSwitches.Load() + 1)
-	x.core.tracer.record(EvActiveSwitch, int8(x.id), int8(target.id), x.traceTag)
-	x.core.active.Store(target)
-	recv.STUI() // re-enable before the indirect jump, as in Algorithm 2
-	target.unpark()
-	x.park()
-	// Resumed: we hold the core again; UIF was re-enabled by whoever
-	// switched back to us.
+	kind, n := EvPassiveSwitch, &x.tcb.passiveSwitches
+	if active {
+		c.recv.CLUI() // .swap_context_start
+		kind, n = EvActiveSwitch, &x.tcb.activeSwitches
+	}
+	n.Store(n.Load() + 1)
+	c.tracer.record(kind, int8(x.id), int8(target.id), x.traceTag)
+	c.recv.STUI() // re-enable before the indirect jump, as in Algorithm 2
+	if x.id == 0 {
+		c.yield(struct{}{})
+	} else {
+		c.resume()
+	}
 }
 
 // Yield re-checks for pending work by delivering any recognized interrupt on

@@ -161,10 +161,10 @@ func TestHeldBackBatchRunsNext(t *testing.T) {
 }
 
 // TestStopWhilePreemptiveHoldsPausedContext: Stop while the preemptive
-// context runs a high-priority request over a paused low-priority one.
-// Shutdown wakes every parked context at once, so the paused context reports
-// its resume while the preemptive loop is still draining and stamping the
-// hand-back; under -race this is where an unsynchronized resume stamp shows.
+// context runs a high-priority request over a paused low-priority one. The
+// preemptive loop stamps its hand-back and returns, and only then does the
+// core resume the paused context, whose switch returns at once; both
+// requests complete, and under -race an unordered resume stamp would show.
 func TestStopWhilePreemptiveHoldsPausedContext(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s := New(Config{Policy: PolicyPreempt, Workers: 1})

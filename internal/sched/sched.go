@@ -245,8 +245,7 @@ type Worker struct {
 	s    *Scheduler
 	core *pcontext.Core
 	// hiQ is multi-consumer: the regular and the preemptive context both pop
-	// from it (never truly concurrently, but across the park/unpark
-	// handoff).
+	// from it (never concurrently; the core runs one context at a time).
 	hiQ *queue.MPMC[*Request]
 	// loQ has one consumer at a time but any number of producers: every
 	// goroutine that submits at Low pushes here.
@@ -262,9 +261,8 @@ type Worker struct {
 	parks    atomic.Uint64
 
 	// slots[i] is the request accounting for context i, so a request on the
-	// preemptive context never clobbers the paused one's state. Plain fields
-	// apart from resumeAt: every other access happens on the context that
-	// owns the slot.
+	// preemptive context never clobbers the paused one's state. Plain fields:
+	// the core runs one context at a time and its switch orders them.
 	slots [contextsPerCore]slotState
 
 	// pubs[i] is slot i's seqlock-published mirror for live introspection:
@@ -279,12 +277,7 @@ type slotState struct {
 	pauseNs  int64         // preempted-pause nanoseconds accumulated so far
 	curClass metrics.Class // class of the request the accumulators belong to
 	curTag   uint64        // trace id of the in-flight request (for pause/resume republish)
-
-	// resumeAt is stamped by the preemptive loop just before it hands the
-	// core back and read by the paused context once it runs. The handoff
-	// orders the two, except when Shutdown wakes every parked context at
-	// once while the preemptive loop is still draining, so it is atomic.
-	resumeAt atomic.Int64
+	resumeAt int64         // hand-back instant stamped by the preemptive loop (0 = none)
 }
 
 // Published slot states (SlotInfo.State).
@@ -620,7 +613,8 @@ func (w *Worker) notePauseEnd(cur *pcontext.Context, pauseStart int64) {
 	st.pauseNs += pause
 	m := w.s.metrics
 	m.Observe(st.curClass, metrics.PhasePause, w.id, pause)
-	if at := st.resumeAt.Swap(0); at != 0 {
+	if at := st.resumeAt; at != 0 {
+		st.resumeAt = 0
 		m.Observe(st.curClass, metrics.PhaseResume, w.id, now-at)
 	}
 }
@@ -754,7 +748,7 @@ func (w *Worker) preemptiveLoop(ctx *pcontext.Context) {
 		}
 		// Stamp the hand-back decision instant so the paused context can
 		// report its resume latency once it actually runs.
-		w.slots[0].resumeAt.Store(clock.Nanos())
+		w.slots[0].resumeAt = clock.Nanos()
 		ctx.SwapContext(regular)
 	}
 }
